@@ -1,11 +1,14 @@
 // Microbenchmarks for the compression substrate: deflate levels (ablation
-// on chain depth / lazy matching), redundancy sensitivity, and inflate.
+// on chain depth / lazy matching), redundancy sensitivity, inflate, the
+// 1 KiB gzip round trip the DSCL value pipeline pays per Put/Get, and the
+// length-limited Huffman build.
 
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
 #include "compress/deflate.h"
 #include "compress/gzip.h"
+#include "compress/huffman.h"
 
 namespace dstore {
 namespace {
@@ -68,6 +71,48 @@ void BM_GzipRoundTrip(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 200000);
 }
 BENCHMARK(BM_GzipRoundTrip);
+
+// A 1 KiB value shaped like the macro benchmark's: 32-byte random chunks,
+// each followed by a copy of itself.
+Bytes ChunkCopyValue1KiB() {
+  Random rng(31);
+  Bytes out = rng.RandomBytes(1024);
+  for (size_t off = 32; off < out.size(); off += 64) {
+    for (size_t i = off; i < off + 32; ++i) out[i] = out[i - 32];
+  }
+  return out;
+}
+
+void BM_Gzip1KiBCompress(benchmark::State& state) {
+  const Bytes value = ChunkCopyValue1KiB();
+  for (auto _ : state) {
+    const Bytes out = GzipCompress(value);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 1024);
+}
+BENCHMARK(BM_Gzip1KiBCompress)->Unit(benchmark::kMicrosecond);
+
+void BM_Gzip1KiBDecompress(benchmark::State& state) {
+  const Bytes compressed = GzipCompress(ChunkCopyValue1KiB());
+  for (auto _ : state) {
+    auto out = GzipDecompress(compressed);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 1024);
+}
+BENCHMARK(BM_Gzip1KiBDecompress)->Unit(benchmark::kMicrosecond);
+
+// The full litlen alphabet with skewed counts, as a dynamic block has.
+void BM_HuffmanLengths286(benchmark::State& state) {
+  Random rng(41);
+  std::vector<uint64_t> freqs(286);
+  for (auto& f : freqs) f = 1 + rng.Uniform(1 + rng.Uniform(400));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BuildHuffmanCodeLengths(freqs, 15));
+  }
+}
+BENCHMARK(BM_HuffmanLengths286)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace dstore

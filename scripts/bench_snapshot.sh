@@ -9,6 +9,11 @@
 #
 #   scripts/bench_snapshot.sh            # full snapshot
 #   scripts/bench_snapshot.sh --quick    # shorter benchmark runs
+#   scripts/bench_snapshot.sh --gate     # exit 1 if any budget is missed
+#
+# Every row records cpu_ns converted from the row's time_unit, and rows
+# that use real time (UseRealTime, "/real_time" in the name) also record
+# real_ns: their work runs on threads the caller's CPU time misses.
 #
 # The snapshots record the raw google-benchmark rows plus the derived
 # headline overheads: the pass-through cost of the untripped admission
@@ -28,9 +33,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MIN_TIME=""
-if [[ "${1:-}" == "--quick" ]]; then
-  MIN_TIME="--benchmark_min_time=0.05"
-fi
+GATE=0
+for arg in "$@"; do
+  case "${arg}" in
+    --quick) MIN_TIME="--benchmark_min_time=0.05" ;;
+    --gate) GATE=1 ;;
+    *) echo "usage: $0 [--quick] [--gate]" >&2; exit 2 ;;
+  esac
+done
 
 cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
 cmake --build build-bench -j"$(nproc)" \
@@ -53,10 +63,11 @@ out_dir="build-bench/bench"
 ./build-bench/bench/bench_micro_replica ${MIN_TIME} \
   --benchmark_out="${out_dir}/replica.json" --benchmark_out_format=json
 
-python3 - "${out_dir}/stores.json" "${out_dir}/admit.json" \
+GATE="${GATE}" python3 - "${out_dir}/stores.json" "${out_dir}/admit.json" \
   "${out_dir}/obs.json" "${out_dir}/net.json" "${out_dir}/lsm.json" \
   "${out_dir}/replica.json" <<'PY'
 import json
+import os
 import sys
 
 stores = json.load(open(sys.argv[1]))
@@ -66,20 +77,33 @@ net = json.load(open(sys.argv[4]))
 lsm = json.load(open(sys.argv[5]))
 replica = json.load(open(sys.argv[6]))
 
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+misses = []
+
+
+def budget_miss(message):
+    misses.append(message)
+    print("WARNING: " + message)
+
+
+def to_ns(b, key):
+    return b[key] * NS_PER_UNIT[b.get("time_unit", "ns")]
+
+
 def rows(doc):
-    return [
-        {
-            "name": b["name"],
-            "cpu_ns": b["cpu_time"],
-            "label": b.get("label", ""),
-        }
-        for b in doc["benchmarks"]
-    ]
+    out = []
+    for b in doc["benchmarks"]:
+        row = {"name": b["name"], "cpu_ns": to_ns(b, "cpu_time")}
+        if b["name"].endswith("/real_time"):
+            row["real_ns"] = to_ns(b, "real_time")
+        row["label"] = b.get("label", "")
+        out.append(row)
+    return out
 
 def cpu_ns(doc, name):
     for b in doc["benchmarks"]:
         if b["name"] == name:
-            return b["cpu_time"]
+            return to_ns(b, "cpu_time")
     raise KeyError(name)
 
 baseline = cpu_ns(admit, "BM_AdmitFileReadOverhead/0")
@@ -104,7 +128,7 @@ with open("BENCH_admit.json", "w") as f:
 print(f"admission pass-through overhead: {overhead_pct:.2f}% "
       f"(budget 5%)")
 if overhead_pct > 5.0:
-    print("WARNING: pass-through overhead exceeds the 5% budget")
+    budget_miss("pass-through overhead exceeds the 5% budget")
 print("wrote BENCH_admit.json")
 
 no_spans = cpu_ns(obs, "BM_ObsFileReadOverhead/0")
@@ -132,7 +156,7 @@ with open("BENCH_obs.json", "w") as f:
 print(f"tracing per-op overhead: disabled {disabled_pct:.2f}% "
       f"(budget 2%), always-on {always_on_pct:.2f}%")
 if disabled_pct > 2.0:
-    print("WARNING: disabled-tracing overhead exceeds the 2% budget")
+    budget_miss("disabled-tracing overhead exceeds the 2% budget")
 print("wrote BENCH_obs.json")
 
 def capacity_row(doc, core_arg, conns):
@@ -183,9 +207,9 @@ print(f"server-core capacity: async {async_conns:.0f} conns "
       f"p99 {async_p99:.1f}us vs threaded {threaded_conns:.0f} conns "
       f"p99 {threaded_p99:.1f}us ({ratio:.0f}x, floor 10x)")
 if ratio < 10.0:
-    print("WARNING: async connection count below the 10x capacity floor")
+    budget_miss("async connection count below the 10x capacity floor")
 if async_p99 > threaded_p99:
-    print("WARNING: async p99 at 10x connections exceeds the threaded p99")
+    budget_miss("async p99 at 10x connections exceeds the threaded p99")
 print("wrote BENCH_net.json")
 
 def lsm_row(name):
@@ -237,9 +261,9 @@ print(f"lsm vs filestore: random-write {write_speedup:.1f}x "
       f"read p99 {lsm_r['p99_us']:.1f}us vs {file_r['p99_us']:.1f}us "
       f"({read_p99_ratio:.2f}x, ceiling 2x)")
 if write_speedup < 5.0:
-    print("WARNING: lsm random-write speedup below the 5x floor")
+    budget_miss("lsm random-write speedup below the 5x floor")
 if read_p99_ratio > 2.0:
-    print("WARNING: lsm read p99 above 2x the FileStore p99")
+    budget_miss("lsm read p99 above 2x the FileStore p99")
 print("wrote BENCH_lsm.json")
 
 def replica_row(name):
@@ -252,10 +276,10 @@ def replica_row(name):
 # the bare FileStore put is the replication machinery's pass-through cost
 # (log append + bookkeeping; budget 10%). W=2/W=3 record what each extra
 # quorum member costs. Read headline: p99 with read-repair off vs on.
-bare_put = replica_row("BM_BareFilePut")["cpu_time"]
-w1_put = replica_row("BM_ReplicatedPut/1")["cpu_time"]
-w2_put = replica_row("BM_ReplicatedPut/2")["cpu_time"]
-w3_put = replica_row("BM_ReplicatedPut/3")["cpu_time"]
+bare_put = cpu_ns(replica, "BM_BareFilePut") / 1e3
+w1_put = cpu_ns(replica, "BM_ReplicatedPut/1") / 1e3
+w2_put = cpu_ns(replica, "BM_ReplicatedPut/2") / 1e3
+w3_put = cpu_ns(replica, "BM_ReplicatedPut/3") / 1e3
 w1_pct = 100.0 * (w1_put - bare_put) / bare_put
 bare_get_p99 = replica_row("BM_BareFileGet")["p99_us"]
 get_plain = replica_row("BM_ReplicatedGet/0")["p99_us"]
@@ -286,6 +310,10 @@ print(f"replicated put: W=1 {w1_pct:.2f}% over bare (budget 10%), "
       f"W=2 {w2_put:.1f}us, W=3 {w3_put:.1f}us; read p99 "
       f"repair-off {get_plain:.1f}us, repair-on {get_repair:.1f}us")
 if w1_pct > 10.0:
-    print("WARNING: W=1 replicated-put overhead exceeds the 10% budget")
+    budget_miss("W=1 replicated-put overhead exceeds the 10% budget")
 print("wrote BENCH_replica.json")
+
+if misses and os.environ.get("GATE") == "1":
+    print(f"--gate: {len(misses)} budget miss(es)")
+    sys.exit(1)
 PY

@@ -151,6 +151,11 @@ void ServerQueue::Exit(Lane lane) {
   cv_.NotifyAll();
 }
 
+void ServerQueue::ShedAdmittedPastDeadline() {
+  MutexLock lock(mu_);
+  ShedLocked(obs_shed_deadline_);
+}
+
 int ServerQueue::active() const {
   MutexLock lock(mu_);
   return active_;

@@ -96,6 +96,11 @@ class ServerQueue {
     Status status_;
   };
 
+  // Meters a request that was admitted but whose deadline ran out before
+  // it started, so the server answers it 504 without running it: a
+  // deadline shed, like one that expires while queued.
+  void ShedAdmittedPastDeadline() EXCLUDES(mu_);
+
   int active() const;
   int queued() const;
   uint64_t shed_total() const;

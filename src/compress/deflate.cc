@@ -1,6 +1,7 @@
 #include "compress/deflate.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <vector>
 
@@ -39,19 +40,40 @@ constexpr int kDistExtraBits[30] = {0, 0, 0,  0,  1,  1,  2,  2,  3,  3,
 constexpr int kCodeLengthOrder[19] = {16, 17, 18, 0, 8,  7, 9,  6, 10, 5,
                                       11, 4,  12, 3, 13, 2, 14, 1, 15};
 
-int LengthToCode(int length) {
-  // length in [3, 258] -> code index in [0, 28]
-  for (int i = 28; i >= 0; --i) {
-    if (length >= kLengthBase[i]) return i;
+// Length -> length-code index and distance -> distance code, as tables.
+// Distances above 256 share a code within each aligned run of 128, so
+// they index the second half of dist_code by (dist - 1) >> 7.
+struct SymbolCodes {
+  uint8_t length_code[kMaxMatch + 1] = {};
+  uint8_t dist_code[512] = {};
+};
+
+constexpr SymbolCodes MakeSymbolCodes() {
+  SymbolCodes t;
+  int code = 0;
+  for (int length = kMinMatch; length <= kMaxMatch; ++length) {
+    while (code < 28 && length >= kLengthBase[code + 1]) ++code;
+    t.length_code[length] = static_cast<uint8_t>(code);
   }
-  return 0;
+  code = 0;
+  for (int dist = 1; dist <= kWindowSize; ++dist) {
+    while (code < 29 && dist >= kDistBase[code + 1]) ++code;
+    if (dist <= 256) {
+      t.dist_code[dist - 1] = static_cast<uint8_t>(code);
+    } else {
+      t.dist_code[256 + ((dist - 1) >> 7)] = static_cast<uint8_t>(code);
+    }
+  }
+  return t;
 }
 
+constexpr SymbolCodes kSymbolCodes = MakeSymbolCodes();
+
+int LengthToCode(int length) { return kSymbolCodes.length_code[length]; }
+
 int DistToCode(int dist) {
-  for (int i = 29; i >= 0; --i) {
-    if (dist >= kDistBase[i]) return i;
-  }
-  return 0;
+  return dist <= 256 ? kSymbolCodes.dist_code[dist - 1]
+                     : kSymbolCodes.dist_code[256 + ((dist - 1) >> 7)];
 }
 
 struct Token {
@@ -89,6 +111,19 @@ uint32_t Hash3(const uint8_t* p) {
 
 int MatchLength(const uint8_t* a, const uint8_t* b, int max_len) {
   int len = 0;
+  // Eight bytes per step; the first differing byte is the lowest set byte
+  // of the XOR in memory order.
+  for (; len + 8 <= max_len; len += 8) {
+    uint64_t x, y;
+    std::memcpy(&x, a + len, 8);
+    std::memcpy(&y, b + len, 8);
+    if (const uint64_t diff = x ^ y; diff != 0) {
+      return len + (std::endian::native == std::endian::little
+                        ? std::countr_zero(diff)
+                        : std::countl_zero(diff)) /
+                       8;
+    }
+  }
   while (len < max_len && a[len] == b[len]) ++len;
   return len;
 }
@@ -174,23 +209,45 @@ std::vector<Token> Lz77Parse(const Bytes& input, const Lz77Params& params) {
 // Encoding
 // ---------------------------------------------------------------------------
 
+// Code lengths plus the matching canonical codes, pre-reversed for the
+// LSB-first BitWriter.
 struct CodeTable {
   std::vector<int> lengths;
   std::vector<uint32_t> codes;
 };
 
-CodeTable FixedLitLenTable() {
+CodeTable MakeCodeTable(std::vector<int> lengths) {
+  CodeTable table;
+  table.codes = BuildCanonicalCodes(lengths);
+  for (size_t i = 0; i < lengths.size(); ++i) {
+    table.codes[i] = ReverseBits(table.codes[i], lengths[i]);
+  }
+  table.lengths = std::move(lengths);
+  return table;
+}
+
+std::vector<int> FixedLitLenLengths() {
   std::vector<int> lengths(288);
   for (int i = 0; i <= 143; ++i) lengths[i] = 8;
   for (int i = 144; i <= 255; ++i) lengths[i] = 9;
   for (int i = 256; i <= 279; ++i) lengths[i] = 7;
   for (int i = 280; i <= 287; ++i) lengths[i] = 8;
-  return {lengths, BuildCanonicalCodes(lengths)};
+  return lengths;
 }
 
-CodeTable FixedDistTable() {
-  std::vector<int> lengths(30, 5);
-  return {lengths, BuildCanonicalCodes(lengths)};
+const CodeTable& FixedLitLenTable() {
+  static const CodeTable table = MakeCodeTable(FixedLitLenLengths());
+  return table;
+}
+
+const CodeTable& FixedDistTable() {
+  static const CodeTable table = MakeCodeTable(std::vector<int>(30, 5));
+  return table;
+}
+
+void PutCode(BitWriter* writer, const CodeTable& table, int symbol) {
+  writer->WriteBits(table.codes[static_cast<size_t>(symbol)],
+                    table.lengths[static_cast<size_t>(symbol)]);
 }
 
 void CountTokenFrequencies(const std::vector<Token>& tokens,
@@ -213,27 +270,24 @@ void WriteTokens(BitWriter* writer, const std::vector<Token>& tokens,
                  const CodeTable& litlen, const CodeTable& dist) {
   for (const Token& t : tokens) {
     if (t.length == 0) {
-      writer->WriteHuffmanCode(litlen.codes[t.literal],
-                               litlen.lengths[t.literal]);
+      PutCode(writer, litlen, t.literal);
     } else {
       const int lcode = LengthToCode(t.length);
-      writer->WriteHuffmanCode(litlen.codes[257 + lcode],
-                               litlen.lengths[257 + lcode]);
+      PutCode(writer, litlen, 257 + lcode);
       if (kLengthExtraBits[lcode] > 0) {
         writer->WriteBits(
             static_cast<uint32_t>(t.length - kLengthBase[lcode]),
             kLengthExtraBits[lcode]);
       }
       const int dcode = DistToCode(t.dist);
-      writer->WriteHuffmanCode(dist.codes[dcode], dist.lengths[dcode]);
+      PutCode(writer, dist, dcode);
       if (kDistExtraBits[dcode] > 0) {
         writer->WriteBits(static_cast<uint32_t>(t.dist - kDistBase[dcode]),
                           kDistExtraBits[dcode]);
       }
     }
   }
-  writer->WriteHuffmanCode(litlen.codes[kEndOfBlock],
-                           litlen.lengths[kEndOfBlock]);
+  PutCode(writer, litlen, kEndOfBlock);
 }
 
 // Run-length encodes the combined litlen+dist code-length array using the
@@ -295,10 +349,8 @@ struct DynamicPlan {
 DynamicPlan PlanDynamicBlock(const std::vector<uint64_t>& litlen_freq,
                              const std::vector<uint64_t>& dist_freq) {
   DynamicPlan plan;
-  plan.litlen.lengths = BuildHuffmanCodeLengths(litlen_freq, 15);
-  plan.litlen.codes = BuildCanonicalCodes(plan.litlen.lengths);
-  plan.dist.lengths = BuildHuffmanCodeLengths(dist_freq, 15);
-  plan.dist.codes = BuildCanonicalCodes(plan.dist.lengths);
+  plan.litlen = MakeCodeTable(BuildHuffmanCodeLengths(litlen_freq, 15));
+  plan.dist = MakeCodeTable(BuildHuffmanCodeLengths(dist_freq, 15));
 
   // HLIT/HDIST: number of coded lengths (at least 257 / 1).
   int hlit = kNumLitLenSymbols;
@@ -318,8 +370,7 @@ DynamicPlan PlanDynamicBlock(const std::vector<uint64_t>& litlen_freq,
 
   std::vector<uint64_t> cl_freq(19, 0);
   for (const ClSymbol& s : plan.cl_stream) ++cl_freq[s.symbol];
-  plan.cl_table.lengths = BuildHuffmanCodeLengths(cl_freq, 7);
-  plan.cl_table.codes = BuildCanonicalCodes(plan.cl_table.lengths);
+  plan.cl_table = MakeCodeTable(BuildHuffmanCodeLengths(cl_freq, 7));
 
   int hclen = 19;
   while (hclen > 4 &&
@@ -407,8 +458,8 @@ Bytes DeflateCompress(const Bytes& input, DeflateLevel level) {
   std::vector<uint64_t> litlen_freq, dist_freq;
   CountTokenFrequencies(tokens, &litlen_freq, &dist_freq);
 
-  const CodeTable fixed_litlen = FixedLitLenTable();
-  const CodeTable fixed_dist = FixedDistTable();
+  const CodeTable& fixed_litlen = FixedLitLenTable();
+  const CodeTable& fixed_dist = FixedDistTable();
   const uint64_t token_extra = ExtraBits(tokens);
 
   DynamicPlan plan = PlanDynamicBlock(litlen_freq, dist_freq);
@@ -445,8 +496,7 @@ Bytes DeflateCompress(const Bytes& input, DeflateLevel level) {
           3);
     }
     for (const ClSymbol& s : plan.cl_stream) {
-      writer.WriteHuffmanCode(plan.cl_table.codes[s.symbol],
-                              plan.cl_table.lengths[s.symbol]);
+      PutCode(&writer, plan.cl_table, s.symbol);
       if (s.extra_bits > 0) {
         writer.WriteBits(static_cast<uint32_t>(s.extra_value), s.extra_bits);
       }
@@ -463,42 +513,87 @@ Bytes DeflateCompress(const Bytes& input, DeflateLevel level) {
 
 namespace {
 
-Status InflateBlockBody(BitReader* reader, const HuffmanDecoder& litlen,
-                        const HuffmanDecoder* dist, size_t max_output,
-                        Bytes* out) {
-  for (;;) {
-    DSTORE_ASSIGN_OR_RETURN(int symbol, litlen.Decode(reader));
-    if (symbol == kEndOfBlock) return Status::OK();
-    if (symbol < 256) {
-      out->push_back(static_cast<uint8_t>(symbol));
-    } else {
-      const int lcode = symbol - 257;
-      if (lcode >= 29) return Status::Corruption("invalid length code");
-      DSTORE_ASSIGN_OR_RETURN(uint32_t lextra,
-                              reader->ReadBits(kLengthExtraBits[lcode]));
-      const int length = kLengthBase[lcode] + static_cast<int>(lextra);
+// Inflate output: a buffer written through a size cursor, grown by
+// doubling, so literals and matches skip per-byte push_back.
+class Output {
+ public:
+  Output(size_t initial, size_t max_output) : max_output_(max_output) {
+    bytes_.resize(std::max<size_t>(initial, 256));
+  }
 
-      if (dist == nullptr) {
-        return Status::Corruption("length code without distance alphabet");
-      }
-      DSTORE_ASSIGN_OR_RETURN(int dcode, dist->Decode(reader));
-      if (dcode >= 30) return Status::Corruption("invalid distance code");
-      DSTORE_ASSIGN_OR_RETURN(uint32_t dextra,
-                              reader->ReadBits(kDistExtraBits[dcode]));
-      const size_t distance =
-          static_cast<size_t>(kDistBase[dcode]) + dextra;
-      if (distance > out->size()) {
-        return Status::Corruption("distance exceeds output size");
-      }
-      // Byte-by-byte copy supports overlapping matches (dist < length).
-      size_t from = out->size() - distance;
-      for (int i = 0; i < length; ++i) {
-        out->push_back((*out)[from + static_cast<size_t>(i)]);
-      }
-    }
-    if (max_output != 0 && out->size() > max_output) {
+  // Makes room for `n` more bytes, or fails if that passes max_output.
+  Status Reserve(size_t n) {
+    if (max_output_ != 0 && size_ + n > max_output_) {
       return Status::InvalidArgument("decompressed data exceeds max_output");
     }
+    if (size_ + n > bytes_.size()) {
+      size_t grown = std::max(size_ + n, 2 * bytes_.size());
+      if (max_output_ != 0) grown = std::min(grown, max_output_);
+      bytes_.resize(grown);
+    }
+    return Status::OK();
+  }
+
+  // Callers Reserve first.
+  uint8_t* end() { return bytes_.data() + size_; }
+  void Advance(size_t n) { size_ += n; }
+  size_t size() const { return size_; }
+
+  Bytes Finish() && {
+    bytes_.resize(size_);
+    return std::move(bytes_);
+  }
+
+ private:
+  Bytes bytes_;
+  size_t size_ = 0;
+  size_t max_output_;
+};
+
+Status SymbolError(int result) {
+  return result == HuffmanDecoder::kTruncated
+             ? Status::Corruption("bitstream ended unexpectedly")
+             : Status::Corruption("invalid Huffman code in stream");
+}
+
+Status InflateBlockBody(BitReader* reader, const HuffmanDecoder& litlen,
+                        const HuffmanDecoder& dist, Output* out) {
+  for (;;) {
+    const int symbol = litlen.DecodeSymbol(reader);
+    if (symbol < 0) return SymbolError(symbol);
+    if (symbol < 256) {
+      DSTORE_RETURN_IF_ERROR(out->Reserve(1));
+      *out->end() = static_cast<uint8_t>(symbol);
+      out->Advance(1);
+      continue;
+    }
+    if (symbol == kEndOfBlock) return Status::OK();
+    const int lcode = symbol - 257;
+    if (lcode >= 29) return Status::Corruption("invalid length code");
+    DSTORE_ASSIGN_OR_RETURN(uint32_t lextra,
+                            reader->ReadBits(kLengthExtraBits[lcode]));
+    const size_t length = static_cast<size_t>(kLengthBase[lcode]) + lextra;
+
+    const int dcode = dist.DecodeSymbol(reader);
+    if (dcode < 0) return SymbolError(dcode);
+    if (dcode >= 30) return Status::Corruption("invalid distance code");
+    DSTORE_ASSIGN_OR_RETURN(uint32_t dextra,
+                            reader->ReadBits(kDistExtraBits[dcode]));
+    const size_t distance = static_cast<size_t>(kDistBase[dcode]) + dextra;
+    if (distance > out->size()) {
+      return Status::Corruption("distance exceeds output size");
+    }
+    DSTORE_RETURN_IF_ERROR(out->Reserve(length));
+    uint8_t* to = out->end();
+    const uint8_t* from = to - distance;
+    if (distance >= length) {
+      std::memcpy(to, from, length);
+    } else {
+      // Overlapping match (dist < length): each byte may repeat one this
+      // copy just wrote.
+      for (size_t i = 0; i < length; ++i) to[i] = from[i];
+    }
+    out->Advance(length);
   }
 }
 
@@ -563,11 +658,32 @@ StatusOr<std::pair<HuffmanDecoder, HuffmanDecoder>> ReadDynamicTables(
   return std::make_pair(std::move(litlen), std::move(dist));
 }
 
+const HuffmanDecoder& FixedLitLenDecoder() {
+  static const HuffmanDecoder decoder =
+      *HuffmanDecoder::Build(FixedLitLenLengths());
+  return decoder;
+}
+
+const HuffmanDecoder& FixedDistDecoder() {
+  static const HuffmanDecoder decoder =
+      *HuffmanDecoder::Build(std::vector<int>(30, 5));
+  return decoder;
+}
+
 }  // namespace
 
 StatusOr<Bytes> DeflateDecompress(const Bytes& input, size_t max_output) {
-  BitReader reader(input);
-  Bytes out;
+  return DeflateDecompress(input.data(), input.size(), max_output);
+}
+
+StatusOr<Bytes> DeflateDecompress(const uint8_t* data, size_t size,
+                                  size_t max_output, size_t size_hint) {
+  // The hint comes from untrusted input: never pre-size past max_output or
+  // past the most a stream of `size` bytes can inflate to (~1032:1).
+  size_t initial = std::min(size_hint, size * 1032);
+  if (max_output != 0) initial = std::min(initial, max_output);
+  BitReader reader(data, size);
+  Output out(initial, max_output);
   for (;;) {
     DSTORE_ASSIGN_OR_RETURN(uint32_t bfinal, reader.ReadBits(1));
     DSTORE_ASSIGN_OR_RETURN(uint32_t btype, reader.ReadBits(2));
@@ -582,35 +698,22 @@ StatusOr<Bytes> DeflateDecompress(const Bytes& input, size_t max_output) {
       if (static_cast<uint16_t>(~len) != nlen) {
         return Status::Corruption("stored block LEN/NLEN mismatch");
       }
-      const size_t old_size = out.size();
-      out.resize(old_size + len);
-      DSTORE_RETURN_IF_ERROR(reader.ReadBytes(out.data() + old_size, len));
-      if (max_output != 0 && out.size() > max_output) {
-        return Status::InvalidArgument("decompressed data exceeds max_output");
-      }
+      DSTORE_RETURN_IF_ERROR(out.Reserve(len));
+      DSTORE_RETURN_IF_ERROR(reader.ReadBytes(out.end(), len));
+      out.Advance(len);
     } else if (btype == 1) {
-      std::vector<int> litlen_lengths(288);
-      for (int i = 0; i <= 143; ++i) litlen_lengths[i] = 8;
-      for (int i = 144; i <= 255; ++i) litlen_lengths[i] = 9;
-      for (int i = 256; i <= 279; ++i) litlen_lengths[i] = 7;
-      for (int i = 280; i <= 287; ++i) litlen_lengths[i] = 8;
-      DSTORE_ASSIGN_OR_RETURN(HuffmanDecoder litlen,
-                              HuffmanDecoder::Build(litlen_lengths));
-      DSTORE_ASSIGN_OR_RETURN(HuffmanDecoder dist,
-                              HuffmanDecoder::Build(std::vector<int>(30, 5)));
-      DSTORE_RETURN_IF_ERROR(
-          InflateBlockBody(&reader, litlen, &dist, max_output, &out));
+      DSTORE_RETURN_IF_ERROR(InflateBlockBody(&reader, FixedLitLenDecoder(),
+                                              FixedDistDecoder(), &out));
     } else if (btype == 2) {
       DSTORE_ASSIGN_OR_RETURN(auto tables, ReadDynamicTables(&reader));
-      DSTORE_RETURN_IF_ERROR(InflateBlockBody(&reader, tables.first,
-                                              &tables.second, max_output,
-                                              &out));
+      DSTORE_RETURN_IF_ERROR(
+          InflateBlockBody(&reader, tables.first, tables.second, &out));
     } else {
       return Status::Corruption("reserved DEFLATE block type");
     }
     if (bfinal) break;
   }
-  return out;
+  return std::move(out).Finish();
 }
 
 }  // namespace dstore

@@ -25,6 +25,13 @@ Bytes DeflateCompress(const Bytes& input,
 // size to defend against decompression bombs (0 means unlimited).
 StatusOr<Bytes> DeflateDecompress(const Bytes& input, size_t max_output = 0);
 
+// The same over `size` bytes at `data`. `size_hint` (e.g. gzip's ISIZE)
+// pre-sizes the output; being untrusted, it is capped by `max_output` and
+// by the most `size` bytes can inflate to.
+StatusOr<Bytes> DeflateDecompress(const uint8_t* data, size_t size,
+                                  size_t max_output = 0,
+                                  size_t size_hint = 0);
+
 }  // namespace dstore
 
 #endif  // DSTORE_COMPRESS_DEFLATE_H_

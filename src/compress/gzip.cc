@@ -59,13 +59,13 @@ StatusOr<Bytes> GzipDecompress(const Bytes& input, size_t max_output) {
     return Status::Corruption("gzip stream too short after header");
   }
 
-  const Bytes body(input.begin() + static_cast<ptrdiff_t>(pos),
-                   input.end() - 8);
-  DSTORE_ASSIGN_OR_RETURN(Bytes out, DeflateDecompress(body, max_output));
-
   const uint8_t* trailer = input.data() + input.size() - 8;
   const uint32_t expected_crc = DecodeFixed32(trailer);
   const uint32_t expected_size = DecodeFixed32(trailer + 4);
+  DSTORE_ASSIGN_OR_RETURN(
+      Bytes out, DeflateDecompress(input.data() + pos, input.size() - 8 - pos,
+                                   max_output, expected_size));
+
   if (expected_size != static_cast<uint32_t>(out.size())) {
     return Status::Corruption("gzip ISIZE mismatch");
   }

@@ -156,8 +156,11 @@ HttpResponse CloudStoreServer::HandleHttpRequest(const HttpRequest& request) {
             ->Increment();
         if (admit::CurrentDeadline().expired()) {
           // Admitted, but the budget ran out while queued; answer 504
-          // without doing the work or paying the WAN delay.
+          // without doing the work or paying the WAN delay. It is a
+          // deadline shed like one inside the queue, and metered as one.
+          queue_->ShedAdmittedPastDeadline();
           response = MakeResponse(504, "Deadline Expired");
+          response.headers["x-dstore-shed"] = "1";
         } else {
           {
             obs::Span handle_span("server.handle", obs::Stage::kBackend);

@@ -212,12 +212,16 @@ void RunCrashPhase(uint64_t seed) {
                             << cycle << " seed=" << seed;
       ASSERT_EQ(*got, value_for(id)) << "cycle=" << cycle << " seed=" << seed;
     }
-    // Recovery must clean all temp litter.
+    // Recovery must clean all temp litter. Close first: the reopened
+    // store's background thread may be mid-flush or mid-compaction, and
+    // its in-flight <number>.tmp is not litter. Closing joins that job,
+    // and nothing but Open removes temp files, so any .tmp left now is
+    // one recovery failed to clean (or a job failed to publish).
+    reopened->reset();
     for (const auto& entry : std::filesystem::directory_iterator(dir)) {
       EXPECT_FALSE(lsm::IsTempFileName(entry.path().filename().string()))
           << "leftover temp after recovery: " << entry.path();
     }
-    reopened->reset();
   }
 
   EXPECT_GT(fault::CrashesInjected(), crashes_before) << "seed=" << seed;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/random.h"
+#include "compress/gzip.h"
 
 namespace dstore {
 namespace {
@@ -151,6 +153,61 @@ TEST(DeflateTest, StoredLenNlenMismatchRejected) {
   // BFINAL=1, BTYPE=00, then LEN=1, NLEN=0 (should be ~1).
   Bytes bad = {0x01, 0x01, 0x00, 0x00, 0x00, 0xaa};
   EXPECT_TRUE(DeflateDecompress(bad).status().IsCorruption());
+}
+
+// A value shaped like the macro benchmark's: 32-byte random chunks, each
+// followed by a copy of itself, so about half of it is redundant.
+Bytes ChunkCopyValue(Random* rng, size_t size) {
+  Bytes out = rng->RandomBytes(size);
+  for (size_t off = 32; off < size; off += 64) {
+    for (size_t i = off; i < std::min(size, off + 32); ++i) out[i] = out[i - 32];
+  }
+  return out;
+}
+
+// Bytes drawn from a steep geometric distribution: rare symbols get codes
+// longer than the decoder's lookup table.
+Bytes SkewedBytes(Random* rng, size_t size) {
+  Bytes out(size);
+  for (auto& b : out) {
+    int v = 0;
+    while (v < 255 && rng->Uniform(3) != 0) ++v;
+    b = static_cast<uint8_t>(v);
+  }
+  return out;
+}
+
+TEST(DeflateGoldenTest, CompressedBytesMatchRecordedDigest) {
+  // One digest over every byte DeflateCompress and GzipCompress produce for
+  // a fixed corpus at every level. It pins the exact encoder output —
+  // LZ77 choices, Huffman lengths with their tie-breaking, block type — so
+  // a speedup that changes a single compressed byte fails here.
+  Random rng(0x60D);
+  std::vector<Bytes> corpus = {
+      {},
+      {0x42},
+      ToBytes("hello hello hello world"),
+      ChunkCopyValue(&rng, 1024),
+      ChunkCopyValue(&rng, 1024),
+      ChunkCopyValue(&rng, 4000),
+      SkewedBytes(&rng, 6000),
+      rng.RandomBytes(3000),
+      rng.CompressibleBytes(20000, 0.5),
+      rng.CompressibleBytes(70000, 0.9),
+  };
+  Bytes stream;
+  for (DeflateLevel level : {DeflateLevel::kStored, DeflateLevel::kFast,
+                             DeflateLevel::kDefault, DeflateLevel::kBest}) {
+    for (const Bytes& input : corpus) {
+      for (const Bytes& out :
+           {DeflateCompress(input, level), GzipCompress(input, level)}) {
+        PutFixed32(&stream, static_cast<uint32_t>(out.size()));
+        stream.insert(stream.end(), out.begin(), out.end());
+      }
+    }
+  }
+  EXPECT_EQ(Fnv1a64(stream.data(), stream.size()), 0x03459b302ad3cf53ull)
+      << "stream bytes " << stream.size();
 }
 
 }  // namespace

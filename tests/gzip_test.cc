@@ -57,6 +57,16 @@ TEST(GzipTest, CorruptTrailerDetected) {
   EXPECT_TRUE(GzipDecompress(out).status().IsCorruption());
 }
 
+TEST(GzipTest, ForgedIsizeIsOnlyAHint) {
+  // ISIZE pre-sizes the inflate buffer, but it is untrusted input: a forged
+  // 4 GiB claim on a small stream must neither be allocated nor accepted.
+  const Bytes input = ToBytes("a short value whose trailer lies about size");
+  Bytes out = GzipCompress(input);
+  for (size_t i = out.size() - 4; i < out.size(); ++i) out[i] = 0xff;
+  EXPECT_TRUE(GzipDecompress(out).status().IsCorruption());
+  EXPECT_TRUE(GzipDecompress(out, 1 << 20).status().IsCorruption());
+}
+
 TEST(GzipTest, RejectsBadMagic) {
   Bytes out = GzipCompress(ToBytes("data"));
   out[0] = 0x00;

@@ -1,6 +1,8 @@
 #include "compress/huffman.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -70,6 +72,113 @@ TEST(HuffmanLengthsTest, RandomizedKraftAndOptimalityProperty) {
       EXPECT_EQ(lengths[i] == 0, freqs[i] == 0);
     }
   }
+}
+
+// The original package-merge, kept as the oracle for the production one:
+// every package carries the leaf symbols it contains, so a symbol's length
+// is simply how many of the selected packages contain it. Quadratic in
+// copies, but obviously right.
+struct OraclePackage {
+  uint64_t weight;
+  std::vector<int> symbols;
+};
+
+bool OracleWeightLess(const OraclePackage& a, const OraclePackage& b) {
+  return a.weight < b.weight;
+}
+
+std::vector<int> OracleCodeLengths(const std::vector<uint64_t>& freqs,
+                                   int max_bits) {
+  const size_t n = freqs.size();
+  std::vector<int> lengths(n, 0);
+  std::vector<OraclePackage> leaves;
+  for (size_t i = 0; i < n; ++i) {
+    if (freqs[i] > 0) leaves.push_back({freqs[i], {static_cast<int>(i)}});
+  }
+  if (leaves.empty()) return lengths;
+  if (leaves.size() == 1) {
+    lengths[leaves[0].symbols[0]] = 1;
+    return lengths;
+  }
+  std::sort(leaves.begin(), leaves.end(), OracleWeightLess);
+
+  std::vector<OraclePackage> current = leaves;
+  for (int level = 1; level < max_bits; ++level) {
+    std::vector<OraclePackage> paired;
+    for (size_t i = 0; i + 1 < current.size(); i += 2) {
+      OraclePackage merged;
+      merged.weight = current[i].weight + current[i + 1].weight;
+      merged.symbols = current[i].symbols;
+      merged.symbols.insert(merged.symbols.end(),
+                            current[i + 1].symbols.begin(),
+                            current[i + 1].symbols.end());
+      paired.push_back(std::move(merged));
+    }
+    std::vector<OraclePackage> next;
+    std::merge(paired.begin(), paired.end(), leaves.begin(), leaves.end(),
+               std::back_inserter(next), OracleWeightLess);
+    current = std::move(next);
+  }
+  const size_t take = 2 * (leaves.size() - 1);
+  for (size_t i = 0; i < take && i < current.size(); ++i) {
+    for (int sym : current[i].symbols) ++lengths[sym];
+  }
+  return lengths;
+}
+
+// Frequency vectors of the shapes DEFLATE produces and the edge cases of
+// the algorithm: many ties, zeros, one or two used symbols, and skews
+// steep enough that the length limit binds.
+std::vector<uint64_t> OracleFrequencies(Random* rng, size_t n, int shape) {
+  std::vector<uint64_t> freqs(n, 0);
+  switch (shape) {
+    case 0:  // small counts: mostly ties and zeros
+      for (auto& f : freqs) f = rng->Uniform(4);
+      break;
+    case 1:  // wide uniform counts
+      for (auto& f : freqs) f = rng->Uniform(100000);
+      break;
+    case 2:  // geometric skew: forces the max_bits limit
+      for (size_t i = 0; i < n; ++i) {
+        freqs[i] = 1 + (uint64_t{1} << std::min<size_t>(40, rng->Uniform(41)));
+      }
+      break;
+    case 3:  // every symbol equally frequent
+      for (auto& f : freqs) f = 7;
+      break;
+    case 4:  // a single used symbol
+      freqs[rng->Uniform(n)] = 1 + rng->Uniform(1000);
+      break;
+    default:  // Fibonacci-like, sparse
+      for (size_t i = 0, a = 1, b = 1; i < n; ++i) {
+        if (rng->Uniform(3) != 0) {
+          freqs[i] = a;
+          const size_t sum = a + b;
+          a = b;
+          b = sum;
+        }
+      }
+      break;
+  }
+  return freqs;
+}
+
+TEST(HuffmanLengthsTest, MatchesPackageMergeOracle) {
+  Random rng(20240612);
+  int compared = 0;
+  for (int trial = 0; trial < 1200; ++trial) {
+    const int max_bits = trial % 2 == 0 ? 15 : 7;
+    // A 7-bit limit fits at most 128 used symbols (the code-length
+    // alphabet has 19); the 15-bit limit covers the full litlen alphabet.
+    const size_t max_n = max_bits == 7 ? 128 : 286;
+    const size_t n = trial < 12 ? max_n : 1 + rng.Uniform(max_n);
+    const auto freqs = OracleFrequencies(&rng, n, trial % 6);
+    ASSERT_EQ(BuildHuffmanCodeLengths(freqs, max_bits),
+              OracleCodeLengths(freqs, max_bits))
+        << "trial " << trial << " n=" << n << " max_bits=" << max_bits;
+    ++compared;
+  }
+  EXPECT_EQ(compared, 1200);
 }
 
 TEST(CanonicalCodesTest, MatchesRfc1951Example) {
@@ -156,6 +265,50 @@ TEST(HuffmanDecoderTest, GarbageInputReportsCorruption) {
     last = decoder->Decode(&reader).status();
   }
   EXPECT_TRUE(last.IsCorruption());
+}
+
+TEST(HuffmanDecoderTest, DecodesCodesLongerThanTheLookupTable) {
+  // Lengths 1..15 plus a second 15: a complete code whose deep symbols
+  // take the path past the primary table.
+  std::vector<int> lengths;
+  for (int l = 1; l <= 15; ++l) lengths.push_back(l);
+  lengths.push_back(15);
+  const auto codes = BuildCanonicalCodes(lengths);
+  auto decoder = HuffmanDecoder::Build(lengths);
+  ASSERT_TRUE(decoder.ok());
+  Bytes buf;
+  BitWriter writer(&buf);
+  for (int s = 15; s >= 0; --s) writer.WriteHuffmanCode(codes[s], lengths[s]);
+  writer.Finish();
+  BitReader reader(buf);
+  for (int s = 15; s >= 0; --s) {
+    auto decoded = decoder->Decode(&reader);
+    ASSERT_TRUE(decoded.ok()) << "symbol " << s;
+    EXPECT_EQ(*decoded, s);
+  }
+}
+
+TEST(HuffmanDecoderTest, UnusedCodeSpaceIsAnError) {
+  // One code of length 1 ("0") and one of length 12: most long prefixes
+  // that start with "1" match nothing.
+  auto decoder = HuffmanDecoder::Build({1, 12});
+  ASSERT_TRUE(decoder.ok());
+  Bytes ones = {0xff, 0xff};
+  BitReader reader(ones);
+  EXPECT_TRUE(decoder->Decode(&reader).status().IsCorruption());
+}
+
+TEST(HuffmanDecoderTest, LongCodeCutByEndOfInputIsCorruption) {
+  std::vector<int> lengths;
+  for (int l = 1; l <= 15; ++l) lengths.push_back(l);
+  lengths.push_back(15);
+  auto decoder = HuffmanDecoder::Build(lengths);
+  ASSERT_TRUE(decoder.ok());
+  // Twelve 1 bits start a 13+-bit code, then the input ends.
+  Bytes buf = {0xff, 0xff};
+  BitReader reader(buf);
+  ASSERT_TRUE(reader.ReadBits(4).ok());
+  EXPECT_TRUE(decoder->Decode(&reader).status().IsCorruption());
 }
 
 }  // namespace
