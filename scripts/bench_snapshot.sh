@@ -15,6 +15,11 @@
 # that use real time (UseRealTime, "/real_time" in the name) also record
 # real_ns: their work runs on threads the caller's CPU time misses.
 #
+# Each snapshot's context carries a "host" object (nproc, CPU model,
+# kernel, git sha) read by this script: google-benchmark's own num_cpus
+# can read 1 on a multi-CPU virtual machine, and a figure is only
+# comparable with one taken on the same host and commit.
+#
 # The snapshots record the raw google-benchmark rows plus the derived
 # headline overheads: the pass-through cost of the untripped admission
 # stack (paired BM_AdmitFileReadOverhead rows, contract ≤5%), the
@@ -68,6 +73,8 @@ GATE="${GATE}" python3 - "${out_dir}/stores.json" "${out_dir}/admit.json" \
   "${out_dir}/replica.json" <<'PY'
 import json
 import os
+import platform
+import subprocess
 import sys
 
 stores = json.load(open(sys.argv[1]))
@@ -78,6 +85,35 @@ lsm = json.load(open(sys.argv[5]))
 replica = json.load(open(sys.argv[6]))
 
 NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def host_info():
+    model = ""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    try:
+        sha = subprocess.run(["git", "rev-parse", "HEAD"], check=True,
+                             capture_output=True, text=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    return {"nproc": len(os.sched_getaffinity(0)), "cpu_model": model,
+            "kernel": platform.release(), "git_sha": sha}
+
+
+HOST = host_info()
+
+
+def context_of(doc):
+    context = dict(doc.get("context", {}))
+    context["host"] = HOST
+    return context
+
 misses = []
 
 
@@ -111,7 +147,7 @@ wrapped = cpu_ns(admit, "BM_AdmitFileReadOverhead/1")
 overhead_pct = 100.0 * (wrapped - baseline) / baseline
 
 snapshot = {
-    "context": admit.get("context", {}),
+    "context": context_of(admit),
     "admit_pass_through": {
         "baseline_cpu_ns": baseline,
         "wrapped_cpu_ns": wrapped,
@@ -138,7 +174,7 @@ disabled_pct = 100.0 * (disabled - no_spans) / no_spans
 always_on_pct = 100.0 * (always_on - no_spans) / no_spans
 
 obs_snapshot = {
-    "context": obs.get("context", {}),
+    "context": context_of(obs),
     "tracing_per_op": {
         "no_spans_cpu_ns": no_spans,
         "disabled_cpu_ns": disabled,
@@ -186,7 +222,7 @@ threaded_p99 = threaded["p99_us"]
 async_p99 = async_10x["p99_us"]
 
 net_snapshot = {
-    "context": net.get("context", {}),
+    "context": context_of(net),
     "server_core_capacity": {
         "threaded_connections": threaded_conns,
         "threaded_p99_us": round(threaded_p99, 2),
@@ -234,7 +270,7 @@ lsm_r = lsm_row("BM_RandomRead/1/real_time")
 read_p99_ratio = lsm_r["p99_us"] / file_r["p99_us"]
 
 lsm_snapshot = {
-    "context": lsm.get("context", {}),
+    "context": context_of(lsm),
     "lsm_vs_filestore": {
         "write_file_items_per_sec": round(file_w["items_per_second"], 1),
         "write_lsm_items_per_sec": round(lsm_w["items_per_second"], 1),
@@ -286,7 +322,7 @@ get_plain = replica_row("BM_ReplicatedGet/0")["p99_us"]
 get_repair = replica_row("BM_ReplicatedGet/1")["p99_us"]
 
 replica_snapshot = {
-    "context": replica.get("context", {}),
+    "context": context_of(replica),
     "replicated_put": {
         "bare_file_put_cpu_us": round(bare_put, 3),
         "w1_put_cpu_us": round(w1_put, 3),

@@ -12,7 +12,7 @@
 #include "admit/token_bucket.h"
 #include "common/clock.h"
 #include "obs/metrics.h"
-#include "store/key_value.h"
+#include "store/forwarding_store.h"
 
 namespace dstore {
 namespace admit {
@@ -40,7 +40,12 @@ namespace admit {
 //     Overloaded.
 //  3. AdaptiveLimiter — optional AIMD concurrency limit; every admitted
 //     operation's outcome feeds the controller.
-class AdmittingStore : public KeyValueStore {
+//
+// A batch is one operation: MultiGet/MultiPut take one deadline check, one
+// token and one limiter slot, a refusal fails every key, and each OK key of
+// a batch that completes after the deadline becomes TimedOut. The limiter
+// hears the batch's first overload-class failure, or OK.
+class AdmittingStore : public ForwardingStore {
  public:
   struct Options {
     bool enforce_deadline = true;
@@ -62,7 +67,13 @@ class AdmittingStore : public KeyValueStore {
   StatusOr<std::vector<std::string>> ListKeys() override;
   StatusOr<size_t> Count() override;
   Status Clear() override;
-  std::string Name() const override { return inner_->Name() + "+admit"; }
+  StatusOr<ConditionalGetResult> GetIfChanged(
+      const std::string& key, const std::string& etag) override;
+  std::vector<StatusOr<ValuePtr>> MultiGet(
+      const std::vector<std::string>& keys) override;
+  Status MultiPut(
+      const std::vector<std::pair<std::string, ValuePtr>>& entries) override;
+  std::string Name() const override { return inner()->Name() + "+admit"; }
 
   const std::shared_ptr<AdaptiveLimiter>& limiter() const {
     return options_.limiter;
@@ -74,10 +85,10 @@ class AdmittingStore : public KeyValueStore {
   std::string DebugLine() const;
 
  private:
+  // `keys` sizes a refused batch; single-key operations leave it at 1.
   template <typename R, typename Op>
-  R WithAdmission(const char* op_name, Op&& op);
+  R WithAdmission(const char* op_name, Op&& op, size_t keys = 1);
 
-  std::shared_ptr<KeyValueStore> inner_;
   const Options options_;
   obs::Counter* obs_deadline_expired_ = nullptr;
   obs::Counter* obs_late_ = nullptr;
@@ -89,8 +100,10 @@ class AdmittingStore : public KeyValueStore {
 // CircuitBreaker is open, so a failing backend sees no traffic until its
 // recovery probe succeeds. Overload-class failures (TimedOut, Unavailable,
 // Overloaded — the same classification ResilientStore retries on) feed the
-// breaker; application errors like NotFound do not.
-class CircuitBreakerStore : public KeyValueStore {
+// breaker; application errors like NotFound do not. A batch takes one
+// Admit(), a short circuit fails every key, and OnResult() hears the batch's
+// first overload-class failure, or OK.
+class CircuitBreakerStore : public ForwardingStore {
  public:
   // `breaker_options.name` defaults to the inner store's Name() when left
   // at its stock value, giving per-store metrics labels for free.
@@ -106,18 +119,23 @@ class CircuitBreakerStore : public KeyValueStore {
   StatusOr<std::vector<std::string>> ListKeys() override;
   StatusOr<size_t> Count() override;
   Status Clear() override;
-  std::string Name() const override { return inner_->Name() + "+breaker"; }
+  StatusOr<ConditionalGetResult> GetIfChanged(
+      const std::string& key, const std::string& etag) override;
+  std::vector<StatusOr<ValuePtr>> MultiGet(
+      const std::vector<std::string>& keys) override;
+  Status MultiPut(
+      const std::vector<std::pair<std::string, ValuePtr>>& entries) override;
+  std::string Name() const override { return inner()->Name() + "+breaker"; }
 
   CircuitBreaker* breaker() { return &breaker_; }
 
  private:
   template <typename R, typename Op>
-  R WithBreaker(Op&& op);
+  R WithBreaker(Op&& op, size_t keys = 1);
 
   static CircuitBreaker::Options WithDefaultName(
       CircuitBreaker::Options options, const KeyValueStore& inner);
 
-  std::shared_ptr<KeyValueStore> inner_;
   CircuitBreaker breaker_;
   ScopedIntrospection introspection_;
 };

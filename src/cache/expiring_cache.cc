@@ -13,6 +13,10 @@ Status ExpiringCache::PutWithTtl(const std::string& key, ValuePtr value,
                                  int64_t ttl_nanos, const std::string& etag) {
   DSTORE_RETURN_IF_ERROR(inner_->Put(key, std::move(value)));
   MutexLock lock(mu_);
+  if (ttl_nanos <= 0 && etag.empty()) {
+    meta_.erase(key);  // never expires, nothing to revalidate
+    return Status::OK();
+  }
   Meta& meta = meta_[key];
   meta.expires_at = ttl_nanos <= 0 ? 0 : clock_->NowNanos() + ttl_nanos;
   meta.etag = etag;

@@ -68,6 +68,8 @@ class ExpiringCache : public Cache {
   size_t ExpiredCount() const;
 
  private:
+  // Kept only for entries that expire or carry an etag; an entry without
+  // one reads as never-expiring with no etag.
   struct Meta {
     int64_t expires_at = 0;  // 0 = never
     std::string etag;

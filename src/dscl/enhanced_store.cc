@@ -28,41 +28,59 @@ EnhancedStore::EnhancedStore(std::shared_ptr<KeyValueStore> base,
       "Conditional GETs answered 304 (no value transferred).");
 }
 
-StatusOr<Bytes> EnhancedStore::Encode(const Bytes& value) const {
+StatusOr<ValuePtr> EnhancedStore::Encode(const ValuePtr& value) const {
   if (chain_ == nullptr || chain_->empty()) return value;
   obs::Span span("transform.encode", obs::Stage::kTransform);
-  return chain_->Apply(value);
+  DSTORE_ASSIGN_OR_RETURN(Bytes encoded, chain_->Apply(*value));
+  return MakeValue(std::move(encoded));
 }
 
-StatusOr<ValuePtr> EnhancedStore::Decode(const Bytes& value) const {
-  if (chain_ == nullptr || chain_->empty()) return MakeValue(Bytes(value));
+StatusOr<ValuePtr> EnhancedStore::Decode(const ValuePtr& value) const {
+  if (chain_ == nullptr || chain_->empty()) return value;
   obs::Span span("transform.decode", obs::Stage::kTransform);
-  DSTORE_ASSIGN_OR_RETURN(Bytes decoded, chain_->Reverse(value));
+  DSTORE_ASSIGN_OR_RETURN(Bytes decoded, chain_->Reverse(*value));
   return MakeValue(std::move(decoded));
 }
 
+std::string EnhancedStore::EtagFor(const Bytes& encoded) const {
+  if (options_.cache_ttl_nanos <= 0 || !options_.revalidate_expired) {
+    return std::string();
+  }
+  return ComputeEtag(encoded);
+}
+
 Status EnhancedStore::CacheValue(const std::string& key,
-                                 const ValuePtr& decoded, const Bytes& encoded,
+                                 const ValuePtr& decoded,
+                                 const ValuePtr& encoded,
                                  const std::string& etag) {
   if (cache_ == nullptr) return Status::OK();
-  const ValuePtr to_cache =
-      options_.cache_encoded ? MakeValue(Bytes(encoded)) : decoded;
+  const ValuePtr& to_cache = options_.cache_encoded ? encoded : decoded;
   return cache_->PutWithTtl(key, to_cache, options_.cache_ttl_nanos, etag);
+}
+
+void EnhancedStore::CountHit() {
+  cache_hits_.fetch_add(1, std::memory_order_relaxed);
+  obs_hits_->Increment();
+}
+
+void EnhancedStore::CountMiss() {
+  cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  obs_misses_->Increment();
 }
 
 Status EnhancedStore::Put(const std::string& key, ValuePtr value) {
   if (value == nullptr) return Status::InvalidArgument("null value");
   obs::Span span("enhanced.put");
-  DSTORE_ASSIGN_OR_RETURN(Bytes encoded, Encode(*value));
+  DSTORE_ASSIGN_OR_RETURN(ValuePtr encoded, Encode(value));
   {
     obs::Span base_span("base.put", obs::Stage::kBackend);
-    DSTORE_RETURN_IF_ERROR(base_->Put(key, MakeValue(Bytes(encoded))));
+    DSTORE_RETURN_IF_ERROR(base_->Put(key, encoded));
   }
 
   if (cache_ == nullptr) return Status::OK();
   switch (options_.write_policy) {
     case WritePolicy::kWriteThrough:
-      return CacheValue(key, value, encoded, ComputeEtag(encoded));
+      return CacheValue(key, value, encoded, EtagFor(*encoded));
     case WritePolicy::kInvalidate:
       return cache_->Delete(key);
     case WritePolicy::kBypass:
@@ -71,74 +89,111 @@ Status EnhancedStore::Put(const std::string& key, ValuePtr value) {
   return Status::OK();
 }
 
-StatusOr<ValuePtr> EnhancedStore::FetchAndCache(const std::string& key) {
-  auto encoded = [&] {
-    obs::Span span("base.get", obs::Stage::kBackend);
-    return base_->Get(key);
-  }();
-  DSTORE_RETURN_IF_ERROR(encoded.status());
-  DSTORE_ASSIGN_OR_RETURN(ValuePtr decoded, Decode(**encoded));
-  DSTORE_RETURN_IF_ERROR(
-      CacheValue(key, decoded, **encoded, ComputeEtag(**encoded)));
+StatusOr<ValuePtr> EnhancedStore::DecodeAndCache(const std::string& key,
+                                                 const ValuePtr& encoded) {
+  DSTORE_ASSIGN_OR_RETURN(ValuePtr decoded, Decode(encoded));
+  if (cache_ != nullptr) {
+    DSTORE_RETURN_IF_ERROR(
+        CacheValue(key, decoded, encoded, EtagFor(*encoded)));
+  }
   return decoded;
 }
 
 StatusOr<ValuePtr> EnhancedStore::Get(const std::string& key) {
   obs::Span get_span("enhanced.get");
 
-  if (cache_ == nullptr) {
-    auto encoded = [&] {
-      obs::Span span("base.get", obs::Stage::kBackend);
-      return base_->Get(key);
+  if (cache_ != nullptr) {
+    auto entry = [&] {
+      obs::Span span("cache.lookup");
+      return cache_->GetEntry(key);
     }();
-    DSTORE_RETURN_IF_ERROR(encoded.status());
-    return Decode(**encoded);
-  }
+    if (entry.ok() && !entry->expired) {
+      CountHit();
+      if (options_.cache_encoded) return Decode(entry->value);
+      return entry->value;
+    }
 
-  auto entry = [&] {
-    obs::Span span("cache.lookup");
-    return cache_->GetEntry(key);
-  }();
-  if (entry.ok() && !entry->expired) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    obs_hits_->Increment();
-    if (options_.cache_encoded) return Decode(*entry->value);
-    return entry->value;
-  }
-
-  if (entry.ok() && entry->expired && options_.revalidate_expired &&
-      !entry->etag.empty()) {
-    // Fig. 7: ask the server whether our version is still current.
-    revalidations_.fetch_add(1, std::memory_order_relaxed);
-    obs_revalidations_->Increment();
-    auto conditional = [&] {
-      obs::Span span("base.conditional_get", obs::Stage::kBackend);
-      return base_->GetIfChanged(key, entry->etag);
-    }();
-    if (conditional.ok()) {
-      if (conditional->not_modified) {
-        revalidations_saved_.fetch_add(1, std::memory_order_relaxed);
-        obs_revalidations_saved_->Increment();
-        cache_->Touch(key, options_.cache_ttl_nanos).ok();
-        if (options_.cache_encoded) return Decode(*entry->value);
-        return entry->value;
+    if (entry.ok() && entry->expired && options_.revalidate_expired &&
+        !entry->etag.empty()) {
+      // Fig. 7: ask the server whether our version is still current.
+      revalidations_.fetch_add(1, std::memory_order_relaxed);
+      obs_revalidations_->Increment();
+      auto conditional = [&] {
+        obs::Span span("base.conditional_get", obs::Stage::kBackend);
+        return base_->GetIfChanged(key, entry->etag);
+      }();
+      if (conditional.ok()) {
+        if (conditional->not_modified) {
+          revalidations_saved_.fetch_add(1, std::memory_order_relaxed);
+          obs_revalidations_saved_->Increment();
+          cache_->Touch(key, options_.cache_ttl_nanos).ok();
+          if (options_.cache_encoded) return Decode(entry->value);
+          return entry->value;
+        }
+        DSTORE_ASSIGN_OR_RETURN(ValuePtr decoded, Decode(conditional->value));
+        DSTORE_RETURN_IF_ERROR(CacheValue(key, decoded, conditional->value,
+                                          conditional->etag));
+        return decoded;
       }
-      DSTORE_ASSIGN_OR_RETURN(ValuePtr decoded, Decode(*conditional->value));
-      DSTORE_RETURN_IF_ERROR(CacheValue(key, decoded, *conditional->value,
-                                        conditional->etag));
-      return decoded;
+      if (conditional.status().IsNotFound()) {
+        cache_->Delete(key).ok();
+        return conditional.status();
+      }
+      // Revalidation path failed (e.g. transient server error): fall
+      // through to a plain fetch below.
     }
-    if (conditional.status().IsNotFound()) {
-      cache_->Delete(key).ok();
-      return conditional.status();
-    }
-    // Revalidation path failed (e.g. transient server error): fall through
-    // to a plain fetch below.
+    CountMiss();
   }
 
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  obs_misses_->Increment();
-  return FetchAndCache(key);
+  auto encoded = [&] {
+    obs::Span span("base.get", obs::Stage::kBackend);
+    return base_->Get(key);
+  }();
+  DSTORE_RETURN_IF_ERROR(encoded.status());
+  return DecodeAndCache(key, *encoded);
+}
+
+std::vector<StatusOr<ValuePtr>> EnhancedStore::MultiGet(
+    const std::vector<std::string>& keys) {
+  obs::Span multiget_span("enhanced.multiget");
+  std::vector<StatusOr<ValuePtr>> results(
+      keys.size(), StatusOr<ValuePtr>(Status::Internal("unset")));
+  std::vector<size_t> misses;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (cache_ != nullptr) {
+      auto entry = cache_->GetEntry(keys[i]);
+      if (entry.ok() && !entry->expired) {
+        CountHit();
+        results[i] =
+            options_.cache_encoded ? Decode(entry->value) : entry->value;
+        continue;
+      }
+      if (entry.ok() && options_.revalidate_expired && !entry->etag.empty()) {
+        results[i] = Get(keys[i]);  // expired: revalidate on the Get path
+        continue;
+      }
+      CountMiss();
+    }
+    misses.push_back(i);
+  }
+  if (misses.empty()) return results;
+
+  std::vector<std::string> miss_keys;
+  miss_keys.reserve(misses.size());
+  for (size_t i : misses) miss_keys.push_back(keys[i]);
+  std::vector<StatusOr<ValuePtr>> fetched = [&] {
+    obs::Span span("base.multiget", obs::Stage::kBackend);
+    return base_->MultiGet(miss_keys);
+  }();
+  for (size_t j = 0; j < misses.size() && j < fetched.size(); ++j) {
+    StatusOr<ValuePtr>& slot = results[misses[j]];
+    if (fetched[j].ok()) {
+      slot = DecodeAndCache(keys[misses[j]], *fetched[j]);
+    } else {
+      slot = fetched[j].status();
+    }
+  }
+  return results;
 }
 
 Status EnhancedStore::Delete(const std::string& key) {

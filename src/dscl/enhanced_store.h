@@ -34,12 +34,21 @@ struct EnhancedStoreStats {
 //    with revalidation enabled -> conditional GET with the cached etag
 //    (Fig. 7); a 304 refreshes the entry without transferring the value.
 //    Miss -> fetch, reverse-transform, cache.
+//  * MultiGet: fresh hits come from the cache; expired entries revalidate
+//    one by one on the Get path; every miss goes to the base store in one
+//    MultiGet, so a batch crosses the stack below in one piece. Hit and
+//    miss counters count per key, as a loop of Gets would.
 //  * Put: value is transformed (compress -> encrypt) before it leaves the
 //    client; the cache is then updated (write-through) or invalidated,
 //    per Options::write_policy.
 //  * The cache stores decoded (plaintext) values by default for the fast
 //    in-process hit path; set Options::cache_encoded to keep cache contents
 //    compressed/encrypted at rest (paper Section III security discussion).
+//  * A cached entry carries an etag only when it can be revalidated
+//    (cache_ttl_nanos > 0 and revalidate_expired): an entry without a TTL
+//    never expires, so a digest of its bytes would never be read.
+//  * With no transforms, values pass through without a copy: the cache,
+//    the caller and the base store share one immutable buffer.
 class EnhancedStore : public KeyValueStore {
  public:
   enum class WritePolicy {
@@ -76,6 +85,8 @@ class EnhancedStore : public KeyValueStore {
   StatusOr<std::vector<std::string>> ListKeys() override;
   StatusOr<size_t> Count() override;
   Status Clear() override;
+  std::vector<StatusOr<ValuePtr>> MultiGet(
+      const std::vector<std::string>& keys) override;
   std::string Name() const override;
 
   EnhancedStoreStats Stats() const;
@@ -88,12 +99,20 @@ class EnhancedStore : public KeyValueStore {
   Status InvalidateCached(const std::string& key);
 
  private:
-  StatusOr<Bytes> Encode(const Bytes& value) const;
-  StatusOr<ValuePtr> Decode(const Bytes& value) const;
-  // Fetches from the base store, decodes, and caches. Returns decoded value.
-  StatusOr<ValuePtr> FetchAndCache(const std::string& key);
+  // Both return their argument itself when the transform chain is empty.
+  StatusOr<ValuePtr> Encode(const ValuePtr& value) const;
+  StatusOr<ValuePtr> Decode(const ValuePtr& value) const;
+  // Decodes a value fetched from the base store and caches it. Returns the
+  // decoded value.
+  StatusOr<ValuePtr> DecodeAndCache(const std::string& key,
+                                    const ValuePtr& encoded);
   Status CacheValue(const std::string& key, const ValuePtr& decoded,
-                    const Bytes& encoded, const std::string& etag);
+                    const ValuePtr& encoded, const std::string& etag);
+  // The etag to cache with `encoded`: empty unless the entry can expire and
+  // be revalidated.
+  std::string EtagFor(const Bytes& encoded) const;
+  void CountHit();
+  void CountMiss();
 
   std::shared_ptr<KeyValueStore> base_;
   std::shared_ptr<ExpiringCache> cache_;

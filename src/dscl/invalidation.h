@@ -8,7 +8,7 @@
 
 #include "cache/cache.h"
 #include "common/sync.h"
-#include "store/key_value.h"
+#include "store/forwarding_store.h"
 
 namespace dstore {
 
@@ -63,55 +63,46 @@ class CacheInvalidationSubscription {
 
 // KeyValueStore decorator that publishes every Put/Delete/Clear on a bus.
 // Wrap the SHARED base store with this once, then hand the wrapped store to
-// each enhanced client.
-class InvalidatingStore : public KeyValueStore {
+// each enhanced client. A MultiPut publishes every key of the batch, even
+// when the batch fails: some of its writes may have landed.
+class InvalidatingStore : public ForwardingStore {
  public:
   InvalidatingStore(std::shared_ptr<KeyValueStore> inner,
                     std::shared_ptr<InvalidationBus> bus)
-      : inner_(std::move(inner)), bus_(std::move(bus)) {}
+      : ForwardingStore(std::move(inner)), bus_(std::move(bus)) {}
 
   Status Put(const std::string& key, ValuePtr value) override {
-    DSTORE_RETURN_IF_ERROR(inner_->Put(key, std::move(value)));
+    DSTORE_RETURN_IF_ERROR(inner()->Put(key, std::move(value)));
     bus_->Publish(key);
     return Status::OK();
-  }
-
-  StatusOr<ValuePtr> Get(const std::string& key) override {
-    return inner_->Get(key);
   }
 
   Status Delete(const std::string& key) override {
-    DSTORE_RETURN_IF_ERROR(inner_->Delete(key));
+    DSTORE_RETURN_IF_ERROR(inner()->Delete(key));
     bus_->Publish(key);
     return Status::OK();
   }
 
-  StatusOr<bool> Contains(const std::string& key) override {
-    return inner_->Contains(key);
-  }
-  StatusOr<std::vector<std::string>> ListKeys() override {
-    return inner_->ListKeys();
-  }
-  StatusOr<size_t> Count() override { return inner_->Count(); }
-
   Status Clear() override {
-    DSTORE_ASSIGN_OR_RETURN(std::vector<std::string> keys, inner_->ListKeys());
-    DSTORE_RETURN_IF_ERROR(inner_->Clear());
+    DSTORE_ASSIGN_OR_RETURN(std::vector<std::string> keys,
+                            inner()->ListKeys());
+    DSTORE_RETURN_IF_ERROR(inner()->Clear());
     for (const std::string& key : keys) bus_->Publish(key);
     return Status::OK();
   }
 
-  StatusOr<ConditionalGetResult> GetIfChanged(
-      const std::string& key, const std::string& etag) override {
-    return inner_->GetIfChanged(key, etag);
+  Status MultiPut(
+      const std::vector<std::pair<std::string, ValuePtr>>& entries) override {
+    const Status status = inner()->MultiPut(entries);
+    for (const auto& entry : entries) bus_->Publish(entry.first);
+    return status;
   }
 
-  std::string Name() const override { return inner_->Name() + "+inval"; }
+  std::string Name() const override { return inner()->Name() + "+inval"; }
 
   InvalidationBus* bus() { return bus_.get(); }
 
  private:
-  std::shared_ptr<KeyValueStore> inner_;
   std::shared_ptr<InvalidationBus> bus_;
 };
 

@@ -27,14 +27,14 @@ std::optional<fault::Fault> FaultInjectingStore::Hit(const char* op) {
 Status FaultInjectingStore::Put(const std::string& key, ValuePtr value) {
   const auto fired = Hit("put");
   if (!fired.has_value() || fired->kind == fault::FaultKind::kLatency) {
-    return inner_->Put(key, std::move(value));
+    return inner()->Put(key, std::move(value));
   }
   if (fired->kind == fault::FaultKind::kCorrupt) {
-    return inner_->Put(key, value != nullptr ? CorruptValue(value, fired->seq)
+    return inner()->Put(key, value != nullptr ? CorruptValue(value, fired->seq)
                                              : nullptr);
   }
   if (fired->kind == fault::FaultKind::kErrorAfterApply) {
-    inner_->Put(key, std::move(value)).ok();  // the write lands regardless
+    inner()->Put(key, std::move(value)).ok();  // the write lands regardless
   }
   return fired->ToStatus(site_, "put");
 }
@@ -42,14 +42,14 @@ Status FaultInjectingStore::Put(const std::string& key, ValuePtr value) {
 StatusOr<ValuePtr> FaultInjectingStore::Get(const std::string& key) {
   const auto fired = Hit("get");
   if (!fired.has_value() || fired->kind == fault::FaultKind::kLatency) {
-    return inner_->Get(key);
+    return inner()->Get(key);
   }
   if (fired->kind == fault::FaultKind::kCorrupt) {
-    DSTORE_ASSIGN_OR_RETURN(ValuePtr value, inner_->Get(key));
+    DSTORE_ASSIGN_OR_RETURN(ValuePtr value, inner()->Get(key));
     return CorruptValue(value, fired->seq);
   }
   if (fired->kind == fault::FaultKind::kErrorAfterApply) {
-    inner_->Get(key).ok();  // the read happens, the result is dropped
+    inner()->Get(key).ok();  // the read happens, the result is dropped
   }
   return fired->ToStatus(site_, "get");
 }
@@ -58,10 +58,10 @@ Status FaultInjectingStore::Delete(const std::string& key) {
   const auto fired = Hit("delete");
   if (!fired.has_value() || fired->kind == fault::FaultKind::kLatency ||
       fired->kind == fault::FaultKind::kCorrupt) {
-    return inner_->Delete(key);
+    return inner()->Delete(key);
   }
   if (fired->kind == fault::FaultKind::kErrorAfterApply) {
-    inner_->Delete(key).ok();  // the delete lands regardless
+    inner()->Delete(key).ok();  // the delete lands regardless
   }
   return fired->ToStatus(site_, "delete");
 }
@@ -70,7 +70,7 @@ StatusOr<bool> FaultInjectingStore::Contains(const std::string& key) {
   const auto fired = Hit("contains");
   if (!fired.has_value() || fired->kind == fault::FaultKind::kLatency ||
       fired->kind == fault::FaultKind::kCorrupt) {
-    return inner_->Contains(key);
+    return inner()->Contains(key);
   }
   return fired->ToStatus(site_, "contains");
 }
@@ -79,7 +79,7 @@ StatusOr<std::vector<std::string>> FaultInjectingStore::ListKeys() {
   const auto fired = Hit("listkeys");
   if (!fired.has_value() || fired->kind == fault::FaultKind::kLatency ||
       fired->kind == fault::FaultKind::kCorrupt) {
-    return inner_->ListKeys();
+    return inner()->ListKeys();
   }
   return fired->ToStatus(site_, "listkeys");
 }
@@ -88,7 +88,7 @@ StatusOr<size_t> FaultInjectingStore::Count() {
   const auto fired = Hit("count");
   if (!fired.has_value() || fired->kind == fault::FaultKind::kLatency ||
       fired->kind == fault::FaultKind::kCorrupt) {
-    return inner_->Count();
+    return inner()->Count();
   }
   return fired->ToStatus(site_, "count");
 }
@@ -97,10 +97,10 @@ Status FaultInjectingStore::Clear() {
   const auto fired = Hit("clear");
   if (!fired.has_value() || fired->kind == fault::FaultKind::kLatency ||
       fired->kind == fault::FaultKind::kCorrupt) {
-    return inner_->Clear();
+    return inner()->Clear();
   }
   if (fired->kind == fault::FaultKind::kErrorAfterApply) {
-    inner_->Clear().ok();
+    inner()->Clear().ok();
   }
   return fired->ToStatus(site_, "clear");
 }
@@ -109,11 +109,11 @@ StatusOr<ConditionalGetResult> FaultInjectingStore::GetIfChanged(
     const std::string& key, const std::string& etag) {
   const auto fired = Hit("getifchanged");
   if (!fired.has_value() || fired->kind == fault::FaultKind::kLatency) {
-    return inner_->GetIfChanged(key, etag);
+    return inner()->GetIfChanged(key, etag);
   }
   if (fired->kind == fault::FaultKind::kCorrupt) {
     DSTORE_ASSIGN_OR_RETURN(ConditionalGetResult result,
-                            inner_->GetIfChanged(key, etag));
+                            inner()->GetIfChanged(key, etag));
     if (!result.not_modified && result.value != nullptr) {
       result.value = CorruptValue(result.value, fired->seq);
     }
@@ -126,10 +126,10 @@ std::vector<StatusOr<ValuePtr>> FaultInjectingStore::MultiGet(
     const std::vector<std::string>& keys) {
   const auto fired = Hit("multiget");
   if (!fired.has_value() || fired->kind == fault::FaultKind::kLatency) {
-    return inner_->MultiGet(keys);
+    return inner()->MultiGet(keys);
   }
   if (fired->kind == fault::FaultKind::kCorrupt) {
-    std::vector<StatusOr<ValuePtr>> results = inner_->MultiGet(keys);
+    std::vector<StatusOr<ValuePtr>> results = inner()->MultiGet(keys);
     for (auto& result : results) {
       if (result.ok()) result = CorruptValue(*result, fired->seq);
     }
@@ -148,10 +148,10 @@ Status FaultInjectingStore::MultiPut(
   const auto fired = Hit("multiput");
   if (!fired.has_value() || fired->kind == fault::FaultKind::kLatency ||
       fired->kind == fault::FaultKind::kCorrupt) {
-    return inner_->MultiPut(entries);
+    return inner()->MultiPut(entries);
   }
   if (fired->kind == fault::FaultKind::kErrorAfterApply) {
-    inner_->MultiPut(entries).ok();  // the batch lands regardless
+    inner()->MultiPut(entries).ok();  // the batch lands regardless
   }
   return fired->ToStatus(site_, "multiput");
 }

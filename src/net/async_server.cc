@@ -73,9 +73,7 @@ Parser MakeHttpParser(HttpHandler handler) {
         break;
     }
     *task = [shared, request = std::move(request)]() {
-      Bytes out;
-      SerializeHttpResponse((*shared)(request), &out);
-      return out;
+      return SerializeHttpResponse((*shared)(request));
     };
     return ParseOutcome::kParsed;
   };
@@ -561,7 +559,13 @@ void AsyncServer::Connection::ReadLocked(
 void AsyncServer::Connection::PromotePendingLocked() {
   for (auto it = pending_.find(next_to_write_); it != pending_.end();
        it = pending_.find(next_to_write_)) {
-    outbuf_.insert(outbuf_.end(), it->second.begin(), it->second.end());
+    if (out_pos_ == outbuf_.size()) {
+      // Nothing left to write: adopt the response's buffer, no copy.
+      outbuf_ = std::move(it->second);
+      out_pos_ = 0;
+    } else {
+      outbuf_.insert(outbuf_.end(), it->second.begin(), it->second.end());
+    }
     pending_.erase(it);
     ++next_to_write_;
     --in_flight_;
@@ -586,7 +590,9 @@ void AsyncServer::Connection::FlushLocked() {
     CloseLocked();
     return;
   }
-  outbuf_.clear();
+  // Release the written buffer rather than keep its capacity: one large
+  // response would otherwise pin that much memory per connection.
+  outbuf_ = Bytes();
   out_pos_ = 0;
   if (want_write_) {
     want_write_ = false;

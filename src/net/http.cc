@@ -119,12 +119,13 @@ HttpParseOutcome ParseHttpRequest(const uint8_t* data, size_t size,
   return HttpParseOutcome::kParsed;
 }
 
-void SerializeHttpResponse(const HttpResponse& response, Bytes* out) {
+Bytes SerializeHttpResponse(HttpResponse response) {
   std::string head = "HTTP/1.1 " + std::to_string(response.status_code) + " " +
                      response.reason + "\r\n";
   AppendHeaders(response.headers, response.body.size(), &head);
-  out->insert(out->end(), head.begin(), head.end());
-  out->insert(out->end(), response.body.begin(), response.body.end());
+  Bytes out = std::move(response.body);
+  out.insert(out.begin(), head.begin(), head.end());
+  return out;
 }
 
 void SerializeHttpRequest(const HttpRequest& request, Bytes* out) {
@@ -149,22 +150,25 @@ Status HttpConnection::WriteResponse(const HttpResponse& response) {
   return socket_.WriteFull(response.body);
 }
 
+Status HttpConnection::FillBuffer(const char* what) {
+  uint8_t chunk[4096];
+  // Read whatever is available (at least 1 byte); anything past this
+  // message stays buffered for the next read on the connection.
+  const ssize_t n = ::recv(socket_.fd(), chunk, sizeof(chunk), 0);
+  if (n < 0) return Status::IOError(std::string("recv failed while ") + what);
+  if (n == 0) {
+    return Status::IOError(std::string("connection closed while ") + what);
+  }
+  buffer_.assign(chunk, chunk + n);
+  buffer_pos_ = 0;
+  return Status::OK();
+}
+
 StatusOr<std::string> HttpConnection::ReadLine() {
   std::string line;
   for (;;) {
     if (buffer_pos_ >= buffer_.size()) {
-      uint8_t chunk[4096];
-      // Read whatever is available (at least 1 byte) without over-reading
-      // past this message: recv with small chunks is fine for headers.
-      const ssize_t n = ::recv(socket_.fd(), chunk, sizeof(chunk), 0);
-      if (n < 0) {
-        return Status::IOError("recv failed while reading HTTP header");
-      }
-      if (n == 0) {
-        return Status::IOError("connection closed while reading HTTP header");
-      }
-      buffer_.assign(chunk, chunk + n);
-      buffer_pos_ = 0;
+      DSTORE_RETURN_IF_ERROR(FillBuffer("reading HTTP header"));
     }
     const char c = static_cast<char>(buffer_[buffer_pos_++]);
     if (c == '\n') {
@@ -179,19 +183,22 @@ StatusOr<std::string> HttpConnection::ReadLine() {
 }
 
 Status HttpConnection::ReadExact(uint8_t* out, size_t n) {
-  // Drain the lookahead buffer first.
-  const size_t buffered = buffer_.size() - buffer_pos_;
-  const size_t take = std::min(buffered, n);
-  if (take > 0) {
-    std::copy(buffer_.begin() + static_cast<ptrdiff_t>(buffer_pos_),
-              buffer_.begin() + static_cast<ptrdiff_t>(buffer_pos_ + take),
-              out);
-    buffer_pos_ += take;
-    out += take;
-    n -= take;
+  for (;;) {
+    // Drain the lookahead buffer first.
+    const size_t buffered = buffer_.size() - buffer_pos_;
+    const size_t take = std::min(buffered, n);
+    if (take > 0) {
+      std::copy(buffer_.begin() + static_cast<ptrdiff_t>(buffer_pos_),
+                buffer_.begin() + static_cast<ptrdiff_t>(buffer_pos_ + take),
+                out);
+      buffer_pos_ += take;
+      out += take;
+      n -= take;
+    }
+    if (n == 0) return Status::OK();
+    if (n >= 4096) return socket_.ReadFull(out, n);
+    DSTORE_RETURN_IF_ERROR(FillBuffer("reading HTTP body"));
   }
-  if (n == 0) return Status::OK();
-  return socket_.ReadFull(out, n);
 }
 
 Status HttpConnection::ReadHeaders(
@@ -233,7 +240,7 @@ StatusOr<HttpRequest> HttpConnection::ReadRequest() {
   return request;
 }
 
-StatusOr<HttpResponse> HttpConnection::ReadResponse() {
+StatusOr<HttpResponse> HttpConnection::ReadResponseHead(size_t* body_length) {
   DSTORE_ASSIGN_OR_RETURN(std::string start, ReadLine());
   HttpResponse response;
   // "HTTP/1.1 200 OK"
@@ -252,6 +259,7 @@ StatusOr<HttpResponse> HttpConnection::ReadResponse() {
   if (sp2 != std::string::npos) response.reason = start.substr(sp2 + 1);
   DSTORE_RETURN_IF_ERROR(ReadHeaders(&response.headers));
 
+  *body_length = 0;
   auto it = response.headers.find("content-length");
   if (it != response.headers.end()) {
     char* end = nullptr;
@@ -259,9 +267,16 @@ StatusOr<HttpResponse> HttpConnection::ReadResponse() {
     if (end == it->second.c_str() || length > kMaxFrameBytes) {
       return Status::Corruption("HTTP body too large");
     }
-    response.body.resize(length);
-    DSTORE_RETURN_IF_ERROR(ReadExact(response.body.data(), length));
+    *body_length = length;
   }
+  return response;
+}
+
+StatusOr<HttpResponse> HttpConnection::ReadResponse() {
+  size_t length = 0;
+  DSTORE_ASSIGN_OR_RETURN(HttpResponse response, ReadResponseHead(&length));
+  response.body.resize(length);
+  DSTORE_RETURN_IF_ERROR(ReadExact(response.body.data(), length));
   return response;
 }
 

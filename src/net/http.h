@@ -52,8 +52,10 @@ HttpParseOutcome ParseHttpRequest(const uint8_t* data, size_t size,
                                   std::string* error = nullptr);
 
 // Serializes status line + headers (adding content-length when absent) +
-// body, appending to `*out`. The inverse of HttpConnection::ReadResponse.
-void SerializeHttpResponse(const HttpResponse& response, Bytes* out);
+// body. The inverse of HttpConnection::ReadResponse. The result reuses the
+// body's buffer, with the head inserted in front: a body built with spare
+// capacity for the head is serialized without a second buffer.
+Bytes SerializeHttpResponse(HttpResponse response);
 
 // Serializes a request the same way (used by pipelining tests and clients
 // that batch several requests into one write).
@@ -75,11 +77,21 @@ class HttpConnection {
   Status WriteResponse(const HttpResponse& response);
   StatusOr<HttpResponse> ReadResponse();
 
+  // Streaming alternative to ReadResponse: reads the status line and
+  // headers only and sets `*body_length` from content-length (0 when
+  // absent). The caller then consumes exactly that many bytes with
+  // ReadExact — straight into the buffers it will keep — or closes the
+  // connection.
+  StatusOr<HttpResponse> ReadResponseHead(size_t* body_length);
+  // Reads exactly n bytes using the buffer first. Small reads refill the
+  // lookahead buffer rather than issue one recv each.
+  Status ReadExact(uint8_t* out, size_t n);
+
  private:
   // Reads a CRLF-terminated line (without the CRLF).
   StatusOr<std::string> ReadLine();
-  // Reads exactly n bytes using the buffer first.
-  Status ReadExact(uint8_t* out, size_t n);
+  // Replaces the drained lookahead buffer with up to 4 KiB from the socket.
+  Status FillBuffer(const char* what);
   // Parses "Name: value" headers until the blank line.
   Status ReadHeaders(std::map<std::string, std::string>* headers);
 

@@ -166,11 +166,12 @@ StatusOr<ValuePtr> ShardedStore::Get(const std::string& key) {
   return GetLocked(key);
 }
 
-StatusOr<ValuePtr> ShardedStore::GetLocked(const std::string& key) {
+template <typename R, typename Read>
+R ShardedStore::ReadLocked(const std::string& key, Read&& read) {
   if (shards_.empty()) return Status::Unavailable("no shards configured");
   auto shard = shards_.at(*ring_.OwnerOf(key));
   if (!migration_active_.load(std::memory_order_acquire)) {
-    auto result = shard->store->Get(key);
+    R result = read(shard->store.get());
     Observe(shard.get(), result.status());
     return result;
   }
@@ -183,17 +184,17 @@ StatusOr<ValuePtr> ShardedStore::GetLocked(const std::string& key) {
     // The new owner is in a failure streak and cannot hold anything
     // authoritative for this key yet (the window is still open) — serve
     // from the old owner directly instead of burning a doomed attempt.
-    auto fallback = prev->store->Get(key);
+    R fallback = read(prev->store.get());
     Observe(prev.get(), fallback.status());
     if (fallback.ok()) {
       obs_forwarded_->Increment();
       return fallback;
     }
   }
-  auto result = shard->store->Get(key);
+  R result = read(shard->store.get());
   Observe(shard.get(), result.status());
   if (result.ok() || prev == nullptr) return result;
-  auto forwarded = prev->store->Get(key);
+  R forwarded = read(prev->store.get());
   Observe(prev.get(), forwarded.status());
   if (forwarded.ok()) {
     obs_forwarded_->Increment();
@@ -205,6 +206,22 @@ StatusOr<ValuePtr> ShardedStore::GetLocked(const std::string& key) {
   // A transient error on either side means absence is unproven; surface the
   // error rather than a wrong NotFound.
   return result.status().IsNotFound() ? forwarded.status() : result.status();
+}
+
+StatusOr<ValuePtr> ShardedStore::GetLocked(const std::string& key) {
+  return ReadLocked<StatusOr<ValuePtr>>(
+      key, [&key](KeyValueStore* store) { return store->Get(key); });
+}
+
+StatusOr<ConditionalGetResult> ShardedStore::GetIfChanged(
+    const std::string& key, const std::string& etag) {
+  obs::Span span("shard.getifchanged");
+  span.SetAttribute("key", key);
+  ReaderLock lock(resize_mu_);
+  return ReadLocked<StatusOr<ConditionalGetResult>>(
+      key, [&key, &etag](KeyValueStore* store) {
+        return store->GetIfChanged(key, etag);
+      });
 }
 
 StatusOr<bool> ShardedStore::Contains(const std::string& key) {

@@ -99,6 +99,8 @@ class ShardedStore : public KeyValueStore {
   StatusOr<std::vector<std::string>> ListKeys() override;
   StatusOr<size_t> Count() override;
   Status Clear() override;
+  StatusOr<ConditionalGetResult> GetIfChanged(
+      const std::string& key, const std::string& etag) override;
   std::vector<StatusOr<ValuePtr>> MultiGet(
       const std::vector<std::string>& keys) override;
   Status MultiPut(
@@ -160,6 +162,12 @@ class ShardedStore : public KeyValueStore {
   void MarkMigrated(const std::string& key);
 
   // Cores that assume resize_mu_ is already held (shared) by the caller.
+  // ReadLocked runs `read` (a Get or a GetIfChanged of `key` against a
+  // shard's store) at the key's owner, honouring the migration forwarding
+  // window.
+  template <typename R, typename Read>
+  R ReadLocked(const std::string& key, Read&& read)
+      REQUIRES_SHARED(resize_mu_);
   StatusOr<ValuePtr> GetLocked(const std::string& key)
       REQUIRES_SHARED(resize_mu_);
   StatusOr<std::vector<std::string>> ListKeysLocked()

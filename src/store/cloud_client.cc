@@ -44,7 +44,8 @@ Status CloudStoreClient::EnsureConnected() {
   return Status::OK();
 }
 
-StatusOr<HttpResponse> CloudStoreClient::RoundTrip(HttpRequest& request) {
+StatusOr<HttpResponse> CloudStoreClient::RoundTrip(HttpRequest& request,
+                                                   size_t* streamed_body) {
   obs::Span span("http.roundtrip", obs::Stage::kNetwork);
   span.SetAttribute("method", request.method);
   span.SetAttribute("path", request.path);
@@ -71,13 +72,17 @@ StatusOr<HttpResponse> CloudStoreClient::RoundTrip(HttpRequest& request) {
       conn_->Close();
       continue;
     }
-    auto response = conn_->ReadResponse();
+    auto response = streamed_body == nullptr
+                        ? conn_->ReadResponse()
+                        : conn_->ReadResponseHead(streamed_body);
     if (!response.ok()) {
       conn_->Close();
       continue;
     }
     span.SetAttribute("http.status", std::to_string(response->status_code));
-    span.SetAttribute("bytes", std::to_string(response->body.size()));
+    span.SetAttribute("bytes", std::to_string(streamed_body == nullptr
+                                                  ? response->body.size()
+                                                  : *streamed_body));
     if (response->status_code >= 500) span.MarkError();
     return response;
   }
@@ -135,6 +140,97 @@ StatusOr<ConditionalGetResult> CloudStoreClient::GetIfChanged(
   }
   result.value = MakeValue(std::move(response.body));
   return result;
+}
+
+std::vector<StatusOr<ValuePtr>> CloudStoreClient::MultiGet(
+    const std::vector<std::string>& keys) {
+  if (keys.empty()) return {};
+  HttpRequest request;
+  request.method = "POST";
+  request.path = "/objects:batch";
+  for (const std::string& key : keys) {
+    const std::string hexkey = HexEncode(ToBytes(key));
+    request.body.insert(request.body.end(), hexkey.begin(), hexkey.end());
+    request.body.push_back('\n');
+  }
+  MutexLock lock(mu_);
+  size_t body_length = 0;
+  auto response = RoundTrip(request, &body_length);
+  if (!response.ok()) {
+    return std::vector<StatusOr<ValuePtr>>(keys.size(), response.status());
+  }
+  if (response->status_code != 200) {
+    const Status skipped = SkipBody(body_length);
+    return std::vector<StatusOr<ValuePtr>>(
+        keys.size(), skipped.ok() ? HttpError("cloud batch GET",
+                                              response->status_code)
+                                  : skipped);
+  }
+  auto results = ReadBatchBody(keys.size(), body_length);
+  if (!results.ok()) {
+    return std::vector<StatusOr<ValuePtr>>(keys.size(), results.status());
+  }
+  return *std::move(results);
+}
+
+Status CloudStoreClient::SkipBody(size_t length) {
+  Bytes discard(length);
+  const Status status = conn_->ReadExact(discard.data(), length);
+  if (!status.ok()) conn_->Close();
+  return status;
+}
+
+StatusOr<std::vector<StatusOr<ValuePtr>>> CloudStoreClient::ReadBatchBody(
+    size_t keys, size_t length) {
+  std::vector<StatusOr<ValuePtr>> results;
+  results.reserve(keys);
+  size_t remaining = length;
+  auto read = [&](uint8_t* out, size_t n) -> Status {
+    if (n > remaining) return Status::Corruption("cloud batch body truncated");
+    remaining -= n;
+    return conn_->ReadExact(out, n);
+  };
+  Status status;
+  for (size_t i = 0; i < keys; ++i) {
+    uint8_t flag = 0;
+    status = read(&flag, 1);
+    if (!status.ok()) break;
+    if (flag == 0) {
+      results.emplace_back(Status::NotFound("no such key"));
+      continue;
+    }
+    if (flag != 1) {
+      status = Status::Corruption("cloud batch body: bad flag");
+      break;
+    }
+    uint64_t value_length = 0;
+    uint8_t byte = 0x80;
+    for (int shift = 0; status.ok() && (byte & 0x80) != 0; shift += 7) {
+      status = shift > 63 ? Status::Corruption("cloud batch: bad varint")
+                          : read(&byte, 1);
+      value_length |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    }
+    if (!status.ok()) break;
+    if (value_length > remaining) {
+      status = Status::Corruption("cloud batch value overruns the body");
+      break;
+    }
+    // Each value is read straight into its own buffer: no batch-sized
+    // body is ever held.
+    Bytes value(value_length);
+    status = read(value.data(), value.size());
+    if (!status.ok()) break;
+    results.emplace_back(MakeValue(std::move(value)));
+  }
+  if (status.ok() && remaining != 0) {
+    status = Status::Corruption("cloud batch body has trailing bytes");
+  }
+  if (!status.ok()) {
+    // The body is partly unread: the connection is out of step.
+    conn_->Close();
+    return status;
+  }
+  return results;
 }
 
 Status CloudStoreClient::Delete(const std::string& key) {

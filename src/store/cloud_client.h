@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/sync.h"
 #include "net/http.h"
@@ -26,6 +27,10 @@ namespace dstore {
 // so the server can shed or abandon the request on its side. Overload
 // answers map to distinct statuses: HTTP 503 -> Overloaded, 504 ->
 // TimedOut — never anything resembling a data-plane result.
+//
+// MultiGet sends the whole batch as one POST /objects:batch round trip (wire
+// format in cloud_server.h). A 503/504 answer, a lost connection or a
+// malformed batch body fails every key of the batch alike.
 class CloudStoreClient : public KeyValueStore {
  public:
   static StatusOr<std::unique_ptr<CloudStoreClient>> Connect(
@@ -40,6 +45,8 @@ class CloudStoreClient : public KeyValueStore {
   Status Clear() override;
   StatusOr<ConditionalGetResult> GetIfChanged(const std::string& key,
                                               const std::string& etag) override;
+  std::vector<StatusOr<ValuePtr>> MultiGet(
+      const std::vector<std::string>& keys) override;
   std::string Name() const override { return name_; }
 
   // --- Replication verbs (the /replica/* routes of cloud_server.h) ---
@@ -65,8 +72,20 @@ class CloudStoreClient : public KeyValueStore {
 
   static std::string ObjectPath(const std::string& key);
   // Performs one request with reconnect-once semantics; checks the ambient
-  // deadline first and attaches its remaining budget as a header.
-  StatusOr<HttpResponse> RoundTrip(HttpRequest& request) REQUIRES(mu_);
+  // deadline first and attaches its remaining budget as a header. With
+  // `streamed_body` set, reads only the response head and stores the body
+  // length there; the caller then reads the body off conn_.
+  StatusOr<HttpResponse> RoundTrip(HttpRequest& request,
+                                   size_t* streamed_body = nullptr)
+      REQUIRES(mu_);
+  // Reads a /objects:batch body of `length` bytes answering `keys` keys
+  // (format in cloud_server.h). Corruption, never a partial answer, when
+  // the body does not parse; the connection is then closed.
+  StatusOr<std::vector<StatusOr<ValuePtr>>> ReadBatchBody(size_t keys,
+                                                          size_t length)
+      REQUIRES(mu_);
+  // Discards a streamed body of `length` bytes (an error answer's).
+  Status SkipBody(size_t length) REQUIRES(mu_);
   Status EnsureConnected() REQUIRES(mu_);
 
   std::string host_;

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "admit/deadline.h"
 #include "common/clock.h"
@@ -16,6 +17,7 @@ namespace dstore {
 namespace {
 
 constexpr char kObjectPrefix[] = "/objects/";
+constexpr char kBatchPath[] = "/objects:batch";
 
 HttpResponse MakeResponse(int code, const std::string& reason) {
   HttpResponse response;
@@ -267,8 +269,48 @@ HttpResponse CloudStoreServer::HandleReplicaRequest(
   return MakeResponse(404, "Not Found");
 }
 
+HttpResponse CloudStoreServer::HandleBatchGet(const HttpRequest& request) {
+  std::vector<std::string> hexkeys;
+  const Bytes& body = request.body;
+  size_t start = 0;
+  for (size_t i = 0; i < body.size(); ++i) {
+    if (body[i] != '\n') continue;
+    hexkeys.emplace_back(body.begin() + static_cast<std::ptrdiff_t>(start),
+                         body.begin() + static_cast<std::ptrdiff_t>(i));
+    start = i + 1;
+  }
+  if (start != body.size()) return MakeResponse(400, "Bad Batch");
+
+  HttpResponse response = MakeResponse(200, "OK");
+  MutexLock lock(mu_);
+  std::vector<const Object*> found;
+  found.reserve(hexkeys.size());
+  size_t body_bytes = hexkeys.size();  // one flag byte per key
+  for (const std::string& hexkey : hexkeys) {
+    auto it = objects_.find(hexkey);
+    const Object* object = it == objects_.end() ? nullptr : &it->second;
+    found.push_back(object);
+    if (object != nullptr) body_bytes += 10 + object->value.size();
+  }
+  // Spare room for the status line and headers, which the serializer
+  // inserts in front of the body in place.
+  response.body.reserve(body_bytes + 256);
+  for (const Object* object : found) {
+    response.body.push_back(object == nullptr ? 0 : 1);
+    if (object != nullptr) PutLengthPrefixed(&response.body, object->value);
+  }
+  return response;
+}
+
 HttpResponse CloudStoreServer::HandleRequest(const HttpRequest& request) {
   const std::string& path = request.path;
+
+  if (path == kBatchPath) {
+    if (request.method != "POST") {
+      return MakeResponse(405, "Method Not Allowed");
+    }
+    return HandleBatchGet(request);
+  }
 
   if (path.rfind("/replica/", 0) == 0) {
     return HandleReplicaRequest(request);

@@ -24,6 +24,11 @@ namespace dstore {
 //   GET    /objects/<hexkey>  [If-None-Match: <etag>]
 //                              -> 200 + body + ETag | 304 | 404
 //   HEAD   /objects/<hexkey>   -> 200 | 404
+//   POST   /objects:batch      body = one "<hexkey>\n" line per key
+//                              -> 200, body = per key in request order: a
+//                              flag byte (1 found, 0 not found) and, when
+//                              found, a varint length + the value bytes;
+//                              400 for a body not ending in '\n'
 //   DELETE /objects/<hexkey>   -> 200
 //   GET    /keys               -> newline-separated hex keys
 //   GET    /count              -> decimal count
@@ -95,6 +100,9 @@ class CloudStoreServer {
   // thread of the server core, one invocation per pipelined request.
   HttpResponse HandleHttpRequest(const HttpRequest& request);
   HttpResponse HandleRequest(const HttpRequest& request);
+  // POST /objects:batch: every key is looked up under one acquisition of
+  // mu_, and the response body is built in place, sized up front.
+  HttpResponse HandleBatchGet(const HttpRequest& request);
   HttpResponse HandleReplicaRequest(const HttpRequest& request);
 
   std::unique_ptr<LatencyModel> latency_;

@@ -5,7 +5,7 @@
 #include <memory>
 #include <string>
 
-#include "store/key_value.h"
+#include "store/forwarding_store.h"
 
 namespace dstore {
 
@@ -24,7 +24,10 @@ namespace dstore {
 // The delay is implemented as a calibrated spin (not sleep_for) because
 // sub-millisecond sleeps have scheduler-quantum jitter that would swamp the
 // modeled constant.
-class OverheadStore : public KeyValueStore {
+//
+// A batch is one call: MultiGet/MultiPut pay one per-op delay plus the
+// per-byte term over every value moved.
+class OverheadStore : public ForwardingStore {
  public:
   struct Overheads {
     int64_t per_op_nanos = 0;
@@ -32,42 +35,57 @@ class OverheadStore : public KeyValueStore {
   };
 
   OverheadStore(std::shared_ptr<KeyValueStore> inner, Overheads overheads)
-      : inner_(std::move(inner)), overheads_(overheads) {}
+      : ForwardingStore(std::move(inner)), overheads_(overheads) {}
 
   Status Put(const std::string& key, ValuePtr value) override {
     Delay(value ? value->size() : 0);
-    return inner_->Put(key, std::move(value));
+    return inner()->Put(key, std::move(value));
   }
   StatusOr<ValuePtr> Get(const std::string& key) override {
-    DSTORE_ASSIGN_OR_RETURN(ValuePtr value, inner_->Get(key));
+    DSTORE_ASSIGN_OR_RETURN(ValuePtr value, inner()->Get(key));
     Delay(value->size());
     return value;
   }
   Status Delete(const std::string& key) override {
     Delay(0);
-    return inner_->Delete(key);
+    return inner()->Delete(key);
   }
   StatusOr<bool> Contains(const std::string& key) override {
     Delay(0);
-    return inner_->Contains(key);
+    return inner()->Contains(key);
   }
   StatusOr<std::vector<std::string>> ListKeys() override {
     Delay(0);
-    return inner_->ListKeys();
+    return inner()->ListKeys();
   }
   StatusOr<size_t> Count() override {
     Delay(0);
-    return inner_->Count();
+    return inner()->Count();
   }
-  Status Clear() override { return inner_->Clear(); }
   StatusOr<ConditionalGetResult> GetIfChanged(
       const std::string& key, const std::string& etag) override {
     Delay(0);
-    return inner_->GetIfChanged(key, etag);
+    return inner()->GetIfChanged(key, etag);
   }
-  std::string Name() const override { return inner_->Name(); }
-
-  KeyValueStore* inner() { return inner_.get(); }
+  std::vector<StatusOr<ValuePtr>> MultiGet(
+      const std::vector<std::string>& keys) override {
+    std::vector<StatusOr<ValuePtr>> results = inner()->MultiGet(keys);
+    size_t bytes = 0;
+    for (const auto& result : results) {
+      if (result.ok()) bytes += (*result)->size();
+    }
+    Delay(bytes);
+    return results;
+  }
+  Status MultiPut(
+      const std::vector<std::pair<std::string, ValuePtr>>& entries) override {
+    size_t bytes = 0;
+    for (const auto& [key, value] : entries) {
+      if (value != nullptr) bytes += value->size();
+    }
+    Delay(bytes);
+    return inner()->MultiPut(entries);
+  }
 
  private:
   void Delay(size_t bytes) const {
@@ -83,7 +101,6 @@ class OverheadStore : public KeyValueStore {
     }
   }
 
-  std::shared_ptr<KeyValueStore> inner_;
   Overheads overheads_;
 };
 

@@ -7,9 +7,8 @@
 #include "common/clock.h"
 #include "common/random.h"
 #include "common/sync.h"
-#include "fault/fault_store.h"
 #include "obs/metrics.h"
-#include "store/key_value.h"
+#include "store/forwarding_store.h"
 
 namespace dstore {
 
@@ -26,7 +25,12 @@ namespace dstore {
 //  - An ambient admit::Deadline bounds the whole retry loop: no further
 //    attempt starts once the budget cannot cover the next backoff sleep,
 //    and the loop returns the last real error rather than burning budget.
-class RetryingStore : public KeyValueStore {
+//
+// MultiGet re-issues only the keys whose status is transient, as one smaller
+// batch per re-attempt, under the same backoff schedule and deadline rule;
+// each re-attempt counts one retry, and a batch whose keys are still
+// transient after the last attempt counts one exhausted operation.
+class RetryingStore : public ForwardingStore {
  public:
   struct Options {
     int max_attempts = 3;
@@ -52,12 +56,12 @@ class RetryingStore : public KeyValueStore {
 
   RetryingStore(std::shared_ptr<KeyValueStore> inner, const Options& options,
                 Clock* clock = nullptr)
-      : inner_(std::move(inner)),
+      : ForwardingStore(std::move(inner)),
         options_(options),
         clock_(clock != nullptr ? clock : RealClock::Default()),
         rng_(options.jitter_seed) {
     auto* registry = obs::MetricsRegistry::Default();
-    const obs::Labels labels = {{"store", inner_->Name()}};
+    const obs::Labels labels = {{"store", this->inner()->Name()}};
     obs_retries_ = registry->GetCounter(
         "dstore_retry_attempts_total", labels,
         "Re-attempts after a transient failure.");
@@ -78,7 +82,13 @@ class RetryingStore : public KeyValueStore {
   StatusOr<std::vector<std::string>> ListKeys() override;
   StatusOr<size_t> Count() override;
   Status Clear() override;
-  std::string Name() const override { return inner_->Name() + "+retry"; }
+  StatusOr<ConditionalGetResult> GetIfChanged(
+      const std::string& key, const std::string& etag) override;
+  std::vector<StatusOr<ValuePtr>> MultiGet(
+      const std::vector<std::string>& keys) override;
+  Status MultiPut(
+      const std::vector<std::pair<std::string, ValuePtr>>& entries) override;
+  std::string Name() const override { return inner()->Name() + "+retry"; }
 
   RetryStats GetRetryStats() const;
 
@@ -90,8 +100,12 @@ class RetryingStore : public KeyValueStore {
   // Runs `op` with retry/backoff. R is Status or StatusOr<T>.
   template <typename R, typename Op>
   R WithRetries(Op&& op);
+  // Sleeps the (jittered) backoff before the next attempt and grows
+  // `*backoff`, counting the retry. False, without sleeping, when the
+  // ambient deadline cannot cover the sleep.
+  bool BackOff(int64_t* backoff);
+  void CountExhausted();
 
-  std::shared_ptr<KeyValueStore> inner_;
   Options options_;
   Clock* clock_;
   mutable Mutex mu_;
@@ -101,45 +115,6 @@ class RetryingStore : public KeyValueStore {
   obs::Counter* obs_retries_;
   obs::Counter* obs_exhausted_;
   obs::Counter* obs_backoff_nanos_;
-};
-
-// FlakyStore: back-compat alias over fault/fault_store.h. Fails a
-// configurable fraction of operations with a transient error, either before
-// the inner operation runs (clean failure) or after (the ugly case: the
-// write happened but the client saw an error). New code should build a
-// FaultPlan and use FaultInjectingStore directly — it adds scheduled faults,
-// latency spikes, payload corruption, and a replayable trace; this wrapper
-// only preserves the historical single-probability interface (Clear is never
-// injected, matching the original). The injection counter now lives in the
-// plan and is atomic, so concurrent operations no longer race on it.
-class FlakyStore : public FaultInjectingStore {
- public:
-  struct Options {
-    double failure_probability = 0.1;
-    // If true, Put/Delete take effect even when an error is reported —
-    // models an acknowledged-lost response.
-    bool fail_after_apply = false;
-    uint64_t seed = 42;
-  };
-
-  FlakyStore(std::shared_ptr<KeyValueStore> inner, const Options& options)
-      : FaultInjectingStore(std::move(inner), MakePlan(options)) {}
-
-  std::string Name() const override { return inner()->Name() + "+flaky"; }
-
- private:
-  static std::shared_ptr<fault::FaultPlan> MakePlan(const Options& options) {
-    auto plan = std::make_shared<fault::FaultPlan>(options.seed);
-    fault::FaultRule rule;
-    rule.op =
-        "put,get,delete,contains,listkeys,count,getifchanged,multiget,"
-        "multiput";
-    rule.probability = options.failure_probability;
-    rule.kind = options.fail_after_apply ? fault::FaultKind::kErrorAfterApply
-                                         : fault::FaultKind::kError;
-    plan->AddRule(rule);
-    return plan;
-  }
 };
 
 }  // namespace dstore

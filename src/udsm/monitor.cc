@@ -182,9 +182,10 @@ auto Timed(PerformanceMonitor* monitor, const Clock* clock,
   obs::Span span(store + "." + op);
   Stopwatch watch(clock);
   auto result = fn();
-  bool ok;
-  if constexpr (std::is_same_v<decltype(result), Status>) {
-    ok = result.ok();
+  bool ok = true;
+  if constexpr (std::is_same_v<decltype(result),
+                               std::vector<StatusOr<ValuePtr>>>) {
+    for (const auto& key_result : result) ok = ok && key_result.ok();
   } else {
     ok = result.ok();
   }
@@ -196,43 +197,55 @@ auto Timed(PerformanceMonitor* monitor, const Clock* clock,
 
 Status MonitoredStore::Put(const std::string& key, ValuePtr value) {
   return Timed(monitor_.get(), clock_, Name(), "put",
-               [&] { return inner_->Put(key, std::move(value)); });
+               [&] { return inner()->Put(key, std::move(value)); });
 }
 
 StatusOr<ValuePtr> MonitoredStore::Get(const std::string& key) {
   return Timed(monitor_.get(), clock_, Name(), "get",
-               [&] { return inner_->Get(key); });
+               [&] { return inner()->Get(key); });
 }
 
 Status MonitoredStore::Delete(const std::string& key) {
   return Timed(monitor_.get(), clock_, Name(), "delete",
-               [&] { return inner_->Delete(key); });
+               [&] { return inner()->Delete(key); });
 }
 
 StatusOr<bool> MonitoredStore::Contains(const std::string& key) {
   return Timed(monitor_.get(), clock_, Name(), "contains",
-               [&] { return inner_->Contains(key); });
+               [&] { return inner()->Contains(key); });
 }
 
 StatusOr<std::vector<std::string>> MonitoredStore::ListKeys() {
   return Timed(monitor_.get(), clock_, Name(), "list",
-               [&] { return inner_->ListKeys(); });
+               [&] { return inner()->ListKeys(); });
 }
 
 StatusOr<size_t> MonitoredStore::Count() {
   return Timed(monitor_.get(), clock_, Name(), "count",
-               [&] { return inner_->Count(); });
+               [&] { return inner()->Count(); });
 }
 
 Status MonitoredStore::Clear() {
   return Timed(monitor_.get(), clock_, Name(), "clear",
-               [&] { return inner_->Clear(); });
+               [&] { return inner()->Clear(); });
 }
 
 StatusOr<ConditionalGetResult> MonitoredStore::GetIfChanged(
     const std::string& key, const std::string& etag) {
   return Timed(monitor_.get(), clock_, Name(), "conditional_get",
-               [&] { return inner_->GetIfChanged(key, etag); });
+               [&] { return inner()->GetIfChanged(key, etag); });
+}
+
+std::vector<StatusOr<ValuePtr>> MonitoredStore::MultiGet(
+    const std::vector<std::string>& keys) {
+  return Timed(monitor_.get(), clock_, Name(), "multiget",
+               [&] { return inner()->MultiGet(keys); });
+}
+
+Status MonitoredStore::MultiPut(
+    const std::vector<std::pair<std::string, ValuePtr>>& entries) {
+  return Timed(monitor_.get(), clock_, Name(), "multiput",
+               [&] { return inner()->MultiPut(entries); });
 }
 
 }  // namespace dstore

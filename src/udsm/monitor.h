@@ -12,6 +12,7 @@
 #include "common/status.h"
 #include "common/sync.h"
 #include "obs/metrics.h"
+#include "store/forwarding_store.h"
 #include "store/key_value.h"
 
 namespace dstore {
@@ -123,13 +124,14 @@ class PerformanceMonitor {
 
 // KeyValueStore decorator that times every operation into a
 // PerformanceMonitor — how the UDSM monitors any store through the common
-// interface without per-store code.
-class MonitoredStore : public KeyValueStore {
+// interface without per-store code. A batch is timed as one "multiget" /
+// "multiput" operation, and it succeeds only if every key does.
+class MonitoredStore : public ForwardingStore {
  public:
   MonitoredStore(std::shared_ptr<KeyValueStore> inner,
                  std::shared_ptr<PerformanceMonitor> monitor,
                  const Clock* clock = nullptr)
-      : inner_(std::move(inner)),
+      : ForwardingStore(std::move(inner)),
         monitor_(std::move(monitor)),
         clock_(clock != nullptr ? clock : RealClock::Default()) {}
 
@@ -142,12 +144,12 @@ class MonitoredStore : public KeyValueStore {
   Status Clear() override;
   StatusOr<ConditionalGetResult> GetIfChanged(const std::string& key,
                                               const std::string& etag) override;
-  std::string Name() const override { return inner_->Name(); }
-
-  KeyValueStore* inner() { return inner_.get(); }
+  std::vector<StatusOr<ValuePtr>> MultiGet(
+      const std::vector<std::string>& keys) override;
+  Status MultiPut(
+      const std::vector<std::pair<std::string, ValuePtr>>& entries) override;
 
  private:
-  std::shared_ptr<KeyValueStore> inner_;
   std::shared_ptr<PerformanceMonitor> monitor_;
   const Clock* clock_;
 };

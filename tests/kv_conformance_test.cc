@@ -19,11 +19,13 @@
 #include "store/cloud_client.h"
 #include "store/cloud_server.h"
 #include "store/file_store.h"
+#include "store/forwarding_store.h"
 #include "store/key_value.h"
 #include "store/lsm/lsm_store.h"
 #include "shard/sharded_store.h"
 #include "store/memory_store.h"
 #include "store/remote_cache.h"
+#include "store/resilient_store.h"
 #include "replica/placement.h"
 #include "replica/replicated_store.h"
 #include "udsm/mirrored_store.h"
@@ -172,6 +174,30 @@ StoreFixture MakeAdmitWrappedFixture() {
           base.teardown};
 }
 
+// The production client chain over the wire: admit -> breaker -> retry ->
+// a ShardedStore over three CloudStoreClients, one server each. Batches and
+// revalidations must cross every decorator and reach the servers intact.
+StoreFixture MakeCloudChainFixture() {
+  std::vector<std::shared_ptr<CloudStoreServer>> servers;
+  ShardedStore::ShardList shards;
+  for (int i = 0; i < 3; ++i) {
+    auto server = CloudStoreServer::Start(std::make_unique<NoLatency>());
+    EXPECT_TRUE(server.ok());
+    servers.push_back(std::move(*server));
+    auto client = CloudStoreClient::Connect(
+        "127.0.0.1", servers.back()->port(), "c" + std::to_string(i));
+    EXPECT_TRUE(client.ok());
+    shards.emplace_back("c" + std::to_string(i),
+                        std::shared_ptr<KeyValueStore>(std::move(*client)));
+  }
+  auto sharded = std::make_shared<ShardedStore>(std::move(shards));
+  auto retry = std::make_shared<RetryingStore>(sharded);
+  auto breaker = std::make_shared<admit::CircuitBreakerStore>(retry);
+  return {std::make_unique<admit::AdmittingStore>(breaker), [servers] {
+            for (const auto& server : servers) server->Stop();
+          }};
+}
+
 // ShardedStore over k memory shards must satisfy the same contract as any
 // single store — routing and scatter-gather are invisible to clients.
 template <int kShards>
@@ -196,48 +222,9 @@ StoreFixture MakeShardedMirroredFixture() {
   return {std::make_unique<ShardedStore>(std::move(shards)), [] {}};
 }
 
-// Factories below hand back shared_ptr-owned stores (ReplicatedStore and
-// the replicated ring build as shared_ptr); this forwarder makes them fit
-// the fixture's unique_ptr without giving up shared ownership.
-class SharedStoreView : public KeyValueStore {
- public:
-  explicit SharedStoreView(std::shared_ptr<KeyValueStore> inner)
-      : inner_(std::move(inner)) {}
-
-  Status Put(const std::string& key, ValuePtr value) override {
-    return inner_->Put(key, std::move(value));
-  }
-  StatusOr<ValuePtr> Get(const std::string& key) override {
-    return inner_->Get(key);
-  }
-  Status Delete(const std::string& key) override {
-    return inner_->Delete(key);
-  }
-  StatusOr<bool> Contains(const std::string& key) override {
-    return inner_->Contains(key);
-  }
-  StatusOr<std::vector<std::string>> ListKeys() override {
-    return inner_->ListKeys();
-  }
-  StatusOr<size_t> Count() override { return inner_->Count(); }
-  Status Clear() override { return inner_->Clear(); }
-  StatusOr<ConditionalGetResult> GetIfChanged(
-      const std::string& key, const std::string& etag) override {
-    return inner_->GetIfChanged(key, etag);
-  }
-  std::vector<StatusOr<ValuePtr>> MultiGet(
-      const std::vector<std::string>& keys) override {
-    return inner_->MultiGet(keys);
-  }
-  Status MultiPut(
-      const std::vector<std::pair<std::string, ValuePtr>>& entries) override {
-    return inner_->MultiPut(entries);
-  }
-  std::string Name() const override { return inner_->Name(); }
-
- private:
-  const std::shared_ptr<KeyValueStore> inner_;
-};
+// The factories below hand back shared_ptr-owned stores (ReplicatedStore
+// and the replicated ring build as shared_ptr); a bare ForwardingStore makes
+// them fit the fixture's unique_ptr without giving up shared ownership.
 
 // A 3-replica primary-backup group over memory backends (W=2, R=2): the
 // replication layer must be behaviour-identical to a bare store.
@@ -251,7 +238,7 @@ StoreFixture MakeReplicated3Fixture() {
   options.name = "conformance";
   auto store = replica::ReplicatedStore::Create(std::move(backends), options);
   EXPECT_TRUE(store.ok()) << store.status().ToString();
-  return {std::make_unique<SharedStoreView>(*store), [] {}};
+  return {std::make_unique<ForwardingStore>(*store), [] {}};
 }
 
 // The paper-shaped topology: a sharded store whose shards are replica
@@ -267,7 +254,7 @@ StoreFixture MakeShardedReplicatedFixture() {
   };
   auto store = replica::BuildReplicatedRing(options);
   EXPECT_TRUE(store.ok()) << store.status().ToString();
-  return {std::make_unique<SharedStoreView>(*store), [] {}};
+  return {std::make_unique<ForwardingStore>(*store), [] {}};
 }
 
 struct Param {
@@ -483,7 +470,8 @@ INSTANTIATE_TEST_SUITE_P(
         Param{"cloud_admit", &MakeAdmitWrappedFixture<&MakeCloudFixture>,
               true},
         Param{"shard3_admit",
-              &MakeAdmitWrappedFixture<&MakeShardedMemoryFixture<3>>, true}),
+              &MakeAdmitWrappedFixture<&MakeShardedMemoryFixture<3>>, true},
+        Param{"cloud_chain", &MakeCloudChainFixture, true}),
     [](const ::testing::TestParamInfo<Param>& info) {
       return info.param.name;
     });

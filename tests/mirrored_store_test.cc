@@ -2,11 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_store.h"
 #include "store/memory_store.h"
-#include "store/resilient_store.h"
 
 namespace dstore {
 namespace {
+
+// A replica that fails every operation but Clear with a transient error.
+std::shared_ptr<FaultInjectingStore> BrokenReplica() {
+  auto plan = std::make_shared<fault::FaultPlan>(42);
+  plan->AddRule(*fault::FaultRule::Parse(
+      "op=put,get,delete,contains,listkeys,count,getifchanged,multiget,"
+      "multiput p=1.0"));
+  return std::make_shared<FaultInjectingStore>(std::make_shared<MemoryStore>(),
+                                               std::move(plan));
+}
 
 class MirroredStoreTest : public ::testing::Test {
  protected:
@@ -29,19 +39,13 @@ TEST_F(MirroredStoreTest, WritesFanOutToAllReplicas) {
 }
 
 TEST_F(MirroredStoreTest, WriteConcernAllFailsOnAnyReplicaFailure) {
-  FlakyStore::Options broken;
-  broken.failure_probability = 1.0;
-  auto bad = std::make_shared<FlakyStore>(std::make_shared<MemoryStore>(),
-                                          broken);
+  auto bad = BrokenReplica();
   MirroredStore store({a_, bad});
   EXPECT_FALSE(store.PutString("k", "v").ok());
 }
 
 TEST_F(MirroredStoreTest, WriteConcernQuorumToleratesMinorityFailure) {
-  FlakyStore::Options broken;
-  broken.failure_probability = 1.0;
-  auto bad = std::make_shared<FlakyStore>(std::make_shared<MemoryStore>(),
-                                          broken);
+  auto bad = BrokenReplica();
   MirroredStore::Options options;
   options.write_concern = MirroredStore::WriteConcern::kQuorum;
   MirroredStore store({a_, b_, bad}, options);
@@ -50,12 +54,8 @@ TEST_F(MirroredStoreTest, WriteConcernQuorumToleratesMinorityFailure) {
 }
 
 TEST_F(MirroredStoreTest, WriteConcernOne) {
-  FlakyStore::Options broken;
-  broken.failure_probability = 1.0;
-  auto bad1 = std::make_shared<FlakyStore>(std::make_shared<MemoryStore>(),
-                                           broken);
-  auto bad2 = std::make_shared<FlakyStore>(std::make_shared<MemoryStore>(),
-                                           broken);
+  auto bad1 = BrokenReplica();
+  auto bad2 = BrokenReplica();
   MirroredStore::Options options;
   options.write_concern = MirroredStore::WriteConcern::kOne;
   MirroredStore store({bad1, a_, bad2}, options);

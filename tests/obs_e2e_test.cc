@@ -144,10 +144,9 @@ TEST_F(ObsE2eTest, OneTraceIdSpansClientAndAllServers) {
   {
     obs::Span root("e2e.multiget", tracer_);
     ASSERT_TRUE(root.recording());
-    // The sharded store fans per-shard batches out on its scatter pool
-    // (MonitoredStore has no MultiGet override and would degrade the call
-    // to sequential Gets).
-    auto results = sharded_->MultiGet(Keys());
+    // The batch passes through MonitoredStore in one piece, and the sharded
+    // store fans per-shard batches out on its scatter pool.
+    auto results = store_->MultiGet(Keys());
     for (const auto& result : results) ASSERT_TRUE(result.ok());
   }
   tracer_->SetSampleRate(0);
@@ -155,10 +154,14 @@ TEST_F(ObsE2eTest, OneTraceIdSpansClientAndAllServers) {
   auto trace = tracer_->LatestTrace();
   ASSERT_NE(trace, nullptr);
   EXPECT_EQ(trace->root().name, "e2e.multiget");
-  // Every shard contributed an adopted worker subtree with its round trips.
+  // The monitored store timed the batch as one operation.
+  EXPECT_EQ(CountSpansNamed(trace->root(), store_->Name() + ".multiget"), 1u);
+  // Every shard contributed an adopted worker subtree holding its batch's
+  // single round trip.
   EXPECT_EQ(CountSpansNamed(trace->root(), "shard.batch"),
             static_cast<size_t>(kShards));
-  EXPECT_EQ(CountSpansNamed(trace->root(), "http.roundtrip"), Keys().size());
+  EXPECT_EQ(CountSpansNamed(trace->root(), "http.roundtrip"),
+            static_cast<size_t>(kShards));
 
   auto family = tracer_->Family(trace->trace_hi(), trace->trace_lo());
   size_t segments = 0;
@@ -170,8 +173,9 @@ TEST_F(ObsE2eTest, OneTraceIdSpansClientAndAllServers) {
     // The segment hangs under a span that really exists client-side.
     EXPECT_TRUE(TreeHasSpan(trace->root(), member->parent_span_id()));
   }
-  // 12 keys over 3 shards: every request produced a server segment.
-  EXPECT_EQ(segments, Keys().size());
+  // 12 keys over 3 shards: one batch request, and one server segment, per
+  // shard.
+  EXPECT_EQ(segments, static_cast<size_t>(kShards));
 }
 
 // For a sequential request the per-stage attribution accounts for the
@@ -314,7 +318,9 @@ TEST_F(ObsE2eTest, ShardFanOutStitchesDeterministically) {
   const std::string second = run_once(99);
   EXPECT_EQ(first, second);
   EXPECT_NE(first.find("shard.batch"), std::string::npos);
-  EXPECT_NE(first.find("segments=12"), std::string::npos);
+  // One batch round trip, so one server segment, per shard.
+  EXPECT_NE(first.find("segments=" + std::to_string(kShards)),
+            std::string::npos);
 }
 
 // Propagation edge cases at the real server: hostile x-dstore-trace headers

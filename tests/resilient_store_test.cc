@@ -1,8 +1,13 @@
 #include "store/resilient_store.h"
 
+#include <map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "admit/deadline.h"
 #include "common/clock.h"
+#include "fault/fault_store.h"
 #include "obs/metrics.h"
 #include "store/memory_store.h"
 
@@ -31,6 +36,28 @@ class FailNTimesStore : public MemoryStore {
   }
 
   int remaining_ = 0;
+};
+
+// A store whose MultiGet answers Unavailable for chosen keys, each for a
+// set number of batches, and records every batch it receives.
+class TransientKeysStore : public MemoryStore {
+ public:
+  std::vector<StatusOr<ValuePtr>> MultiGet(
+      const std::vector<std::string>& keys) override {
+    batches.push_back(keys);
+    std::vector<StatusOr<ValuePtr>> results = MemoryStore::MultiGet(keys);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      auto it = failures.find(keys[i]);
+      if (it != failures.end() && it->second > 0) {
+        --it->second;
+        results[i] = Status::Unavailable("transient for " + keys[i]);
+      }
+    }
+    return results;
+  }
+
+  std::map<std::string, int> failures;  // key -> batches left to fail
+  std::vector<std::vector<std::string>> batches;
 };
 
 RetryingStore::Options FastRetries(int attempts) {
@@ -140,56 +167,119 @@ TEST(RetryingStoreTest, PublishesObsCounters) {
   EXPECT_EQ(stats.backoff_nanos, 1500u);
 }
 
+TEST(RetryingStoreTest, MultiGetReissuesOnlyTransientKeys) {
+  auto inner = std::make_shared<TransientKeysStore>();
+  std::vector<std::string> keys;
+  for (int i = 0; i < 8; ++i) {
+    keys.push_back("k" + std::to_string(i));
+    ASSERT_TRUE(inner->PutString(keys.back(), "v" + std::to_string(i)).ok());
+  }
+  inner->failures = {{"k2", 1}, {"k5", 1}};
+  RetryingStore store(inner, FastRetries(3));
+  const auto results = store.MultiGet(keys);
+  ASSERT_EQ(results.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    EXPECT_EQ(ToString(**results[i]), "v" + std::to_string(i));
+  }
+  // One full batch, then exactly one smaller re-attempt of the two keys.
+  ASSERT_EQ(inner->batches.size(), 2u);
+  EXPECT_EQ(inner->batches[0], keys);
+  EXPECT_EQ(inner->batches[1], (std::vector<std::string>{"k2", "k5"}));
+  EXPECT_EQ(store.GetRetryStats().retries, 1u);
+  EXPECT_EQ(store.GetRetryStats().exhausted, 0u);
+}
+
+TEST(RetryingStoreTest, MultiGetExhaustsOncePerBatch) {
+  auto inner = std::make_shared<TransientKeysStore>();
+  ASSERT_TRUE(inner->PutString("a", "1").ok());
+  ASSERT_TRUE(inner->PutString("b", "2").ok());
+  inner->failures = {{"b", 100}};
+  RetryingStore store(inner, FastRetries(3));
+  const auto results = store.MultiGet({"a", "b", "missing"});
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_TRUE(results[0].ok());
+  EXPECT_TRUE(results[1].status().IsUnavailable());
+  EXPECT_TRUE(results[2].status().IsNotFound());  // never retried
+  ASSERT_EQ(inner->batches.size(), 3u);
+  EXPECT_EQ(inner->batches[2], (std::vector<std::string>{"b"}));
+  EXPECT_EQ(store.GetRetryStats().retries, 2u);
+  EXPECT_EQ(store.GetRetryStats().exhausted, 1u);
+}
+
+TEST(RetryingStoreTest, MultiGetStopsWhenDeadlineCannotCoverBackoff) {
+  auto inner = std::make_shared<TransientKeysStore>();
+  ASSERT_TRUE(inner->PutString("a", "1").ok());
+  inner->failures = {{"a", 1}};
+  RetryingStore::Options options = FastRetries(3);
+  options.initial_backoff_nanos = 1'000'000'000;  // 1 s
+  options.full_jitter = false;
+  RetryingStore store(inner, options);
+  admit::ScopedDeadline scope(admit::Deadline::After(1'000'000));  // 1 ms
+  const auto results = store.MultiGet({"a"});
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].status().IsUnavailable());
+  EXPECT_EQ(inner->batches.size(), 1u);
+  EXPECT_EQ(store.GetRetryStats().retries, 0u);
+  EXPECT_EQ(store.GetRetryStats().exhausted, 1u);
+}
+
 TEST(RetryingStoreTest, NameShowsDecoration) {
   RetryingStore store(std::make_shared<MemoryStore>());
   EXPECT_EQ(store.Name(), "memory+retry");
 }
 
-TEST(FlakyStoreTest, InjectsFailuresAtConfiguredRate) {
+// Transient faults on every operation but Clear, at `probability`; with
+// `after_apply` a failed write still lands (acknowledged-lost).
+std::shared_ptr<FaultInjectingStore> TransientFaults(
+    std::shared_ptr<KeyValueStore> inner, double probability,
+    bool after_apply = false) {
+  auto plan = std::make_shared<fault::FaultPlan>(42);
+  fault::FaultRule rule;
+  rule.op =
+      "put,get,delete,contains,listkeys,count,getifchanged,multiget,multiput";
+  rule.probability = probability;
+  rule.kind = after_apply ? fault::FaultKind::kErrorAfterApply
+                          : fault::FaultKind::kError;
+  plan->AddRule(rule);
+  return std::make_shared<FaultInjectingStore>(std::move(inner),
+                                               std::move(plan));
+}
+
+TEST(TransientFaultTest, InjectsFailuresAtConfiguredRate) {
   auto inner = std::make_shared<MemoryStore>();
   inner->PutString("k", "v").ok();  // seed directly, bypassing fault injection
-  FlakyStore::Options options;
-  options.failure_probability = 0.5;
-  FlakyStore store(inner, options);
+  auto store = TransientFaults(inner, 0.5);
   int failures = 0;
   const int trials = 1000;
   for (int i = 0; i < trials; ++i) {
-    if (!store.Get("k").ok()) ++failures;
+    if (!store->Get("k").ok()) ++failures;
   }
   EXPECT_NEAR(static_cast<double>(failures) / trials, 0.5, 0.08);
-  EXPECT_GT(store.injected_failures(), 0u);
+  EXPECT_GT(store->injected_failures(), 0u);
 }
 
-TEST(FlakyStoreTest, ZeroProbabilityNeverFails) {
-  FlakyStore::Options options;
-  options.failure_probability = 0.0;
-  FlakyStore store(std::make_shared<MemoryStore>(), options);
+TEST(TransientFaultTest, ZeroProbabilityNeverFails) {
+  auto store = TransientFaults(std::make_shared<MemoryStore>(), 0.0);
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(store.PutString("k", "v").ok());
-    ASSERT_TRUE(store.Get("k").ok());
+    ASSERT_TRUE(store->PutString("k", "v").ok());
+    ASSERT_TRUE(store->Get("k").ok());
   }
-  EXPECT_EQ(store.injected_failures(), 0u);
+  EXPECT_EQ(store->injected_failures(), 0u);
 }
 
-TEST(FlakyStoreTest, FailAfterApplyStillWrites) {
+TEST(TransientFaultTest, FailAfterApplyStillWrites) {
   auto inner = std::make_shared<MemoryStore>();
-  FlakyStore::Options options;
-  options.failure_probability = 1.0;
-  options.fail_after_apply = true;
-  FlakyStore store(inner, options);
+  auto store = TransientFaults(inner, 1.0, /*after_apply=*/true);
   // Client sees an error...
-  EXPECT_TRUE(store.PutString("k", "v").IsUnavailable());
+  EXPECT_TRUE(store->PutString("k", "v").IsUnavailable());
   // ...but the write landed (acknowledged-lost).
   EXPECT_EQ(*inner->GetString("k"), "v");
 }
 
-TEST(FlakyStoreTest, RetryingOverFlakyConverges) {
+TEST(TransientFaultTest, RetryingOverFaultsConverges) {
   // The intended composition: a retrying client over an unreliable store.
-  FlakyStore::Options flaky_options;
-  flaky_options.failure_probability = 0.3;
-  auto flaky =
-      std::make_shared<FlakyStore>(std::make_shared<MemoryStore>(),
-                                   flaky_options);
+  auto flaky = TransientFaults(std::make_shared<MemoryStore>(), 0.3);
   RetryingStore store(flaky, FastRetries(10));
   int successes = 0;
   for (int i = 0; i < 200; ++i) {
